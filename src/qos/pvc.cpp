@@ -41,30 +41,20 @@ parseQosMode(const std::string &name)
 }
 
 std::uint64_t
-PvcParams::quotaFlits(FlowId flow) const
+PvcParams::recountWeights() const
 {
-    if (!quotaEnabled)
-        return 0;
-    const std::uint64_t sum = sumWeights();
-    TAQOS_ASSERT(sum > 0, "zero total weight");
-    return frameLen * weightOf(flow) / sum;
+    if (weights.empty())
+        return static_cast<std::uint64_t>(numFlows);
+    std::uint64_t sum = 0;
+    for (auto w : weights)
+        sum += w;
+    return sum;
 }
 
 QuotaTracker::QuotaTracker(const PvcParams &params)
     : params_(&params),
       injected_(static_cast<std::size_t>(params.numFlows), 0)
 {
-}
-
-bool
-QuotaTracker::compliant(FlowId flow, int flits) const
-{
-    if (!params_->quotaEnabled)
-        return false;
-    const auto idx = static_cast<std::size_t>(flow);
-    TAQOS_ASSERT(idx < injected_.size(), "flow %d out of range", flow);
-    return injected_[idx] + static_cast<std::uint64_t>(flits) <=
-           params_->quotaFlits(flow);
 }
 
 void

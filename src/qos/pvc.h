@@ -52,7 +52,9 @@ struct PvcParams {
     int numFlows = 64;
 
     /// Per-flow provisioned service weights. Empty = all equal. The OS
-    /// programs these through the chip's flow registers.
+    /// programs these through the chip's flow registers. A network that
+    /// adopts these params caches their sum (adoptWeights); rewrite them
+    /// mid-run only through Network::reprogramFlowWeights.
     std::vector<std::uint32_t> weights;
 
     /// Per-source outstanding-packet retransmission window.
@@ -107,18 +109,37 @@ struct PvcParams {
         return weights[static_cast<std::size_t>(flow)];
     }
 
+    /// ΣW, the total provisioned weight. O(1) once adoptWeights() has
+    /// cached it — every network-owned copy, which is the one the
+    /// arbitration, quota and GSF-budget hot paths read. A params value
+    /// that no network adopted (a config under construction, a unit-test
+    /// fixture) recounts.
     std::uint64_t sumWeights() const
     {
-        if (weights.empty())
-            return static_cast<std::uint64_t>(numFlows);
-        std::uint64_t sum = 0;
-        for (auto w : weights)
-            sum += w;
-        return sum;
+        return sumW_ != 0 ? sumW_ : recountWeights();
     }
 
-    /// Reserved (non-preemptable) flits per frame for `flow`.
-    std::uint64_t quotaFlits(FlowId flow) const;
+    /// ΣW counted afresh from `weights` (the invariant check compares
+    /// it against the cached sum).
+    std::uint64_t recountWeights() const;
+
+    /// Cache ΣW. Called where a network takes over its flow registers:
+    /// Network construction and Network::reprogramFlowWeights.
+    void adoptWeights() { sumW_ = recountWeights(); }
+
+    /// Reserved (non-preemptable) flits per frame for `flow`. Inline:
+    /// every PVC injection attempt checks compliance against it.
+    std::uint64_t quotaFlits(FlowId flow) const
+    {
+        if (!quotaEnabled)
+            return 0;
+        const std::uint64_t sum = sumWeights();
+        TAQOS_ASSERT(sum > 0, "zero total weight");
+        return frameLen * weightOf(flow) / sum;
+    }
+
+  private:
+    std::uint64_t sumW_ = 0; ///< cached ΣW; 0 = not adopted
 };
 
 /// Source-side per-frame injection accounting, used to mark packets
@@ -128,7 +149,16 @@ class QuotaTracker {
     explicit QuotaTracker(const PvcParams &params);
 
     /// Would a packet of `flits` still fall under the reserved quota?
-    bool compliant(FlowId flow, int flits) const;
+    /// Inline: checked on every PVC injection attempt.
+    bool compliant(FlowId flow, int flits) const
+    {
+        if (!params_->quotaEnabled)
+            return false;
+        const auto idx = static_cast<std::size_t>(flow);
+        TAQOS_ASSERT(idx < injected_.size(), "flow %d out of range", flow);
+        return injected_[idx] + static_cast<std::uint64_t>(flits) <=
+               params_->quotaFlits(flow);
+    }
 
     /// Charge an injection (called per transmission attempt — replays
     /// consume bandwidth too).

@@ -36,35 +36,32 @@ ChipTrafficSource::tick(Cycle now, PacketPool &pool,
 
     gen_.tick(now, pool, scratch_, metrics);
     const int perNode = net_.cfg().injectorsPerNode;
-    for (std::size_t f = 0; f < scratch_.size(); ++f) {
-        InjectorQueue &staged = scratch_[f];
-        while (!staged.queue().empty()) {
-            NetPacket *pkt = staged.dequeue();
-            // Terminal flows originate at the column node itself; row
-            // flows at their compute node.
-            const bool terminal = static_cast<int>(f) % perNode == 0;
-            InjectorQueue &origin =
-                terminal ? injectors[f] : net_.sourceQueue(pkt->flow);
-            if (origin.queue().size() >= traffic_.maxQueueDepth) {
-                // Bounded memory far past saturation: undo the
-                // generator's accounting, as its own suppression would.
-                ++suppressed_;
-                --metrics.generatedPackets;
-                metrics.generatedFlits -=
-                    static_cast<std::uint64_t>(pkt->sizeFlits);
-                if (pkt->measured)
-                    --metrics.measuredGenerated;
-                pool.release(pkt);
-                continue;
-            }
-            if (!terminal) {
-                // Row segment first: route to the column-entry node.
-                pkt->finalDst = pkt->dst;
-                pkt->dst =
-                    net_.columnNodeId(net_.cfg().nodeOfFlow(pkt->flow));
-            }
-            origin.enqueue(pkt);
+    for (const FlowId f : gen_.emitted()) {
+        const auto idx = static_cast<std::size_t>(f);
+        NetPacket *pkt = scratch_[idx].dequeue();
+        // Terminal flows originate at the column node itself; row
+        // flows at their compute node.
+        const bool terminal = f % perNode == 0;
+        InjectorQueue &origin =
+            terminal ? injectors[idx] : net_.sourceQueue(pkt->flow);
+        if (origin.queue().size() >= traffic_.maxQueueDepth) {
+            // Bounded memory far past saturation: undo the generator's
+            // accounting, as its own suppression would.
+            ++suppressed_;
+            --metrics.generatedPackets;
+            metrics.generatedFlits -=
+                static_cast<std::uint64_t>(pkt->sizeFlits);
+            if (pkt->measured)
+                --metrics.measuredGenerated;
+            pool.release(pkt);
+            continue;
         }
+        if (!terminal) {
+            // Row segment first: route to the column-entry node.
+            pkt->finalDst = pkt->dst;
+            pkt->dst = net_.columnNodeId(net_.cfg().nodeOfFlow(pkt->flow));
+        }
+        origin.enqueue(pkt);
     }
 }
 

@@ -64,6 +64,7 @@ class ChipTrafficSource : public TrafficSource {
     TrafficGenerator gen_;
     /// Staging queues the generator fills before packets are dispatched
     /// to their origin (compute-node or column-entrance) queues.
+    /// Dispatch visits only the flows the generator emitted this tick.
     std::vector<InjectorQueue> scratch_;
     std::uint64_t suppressed_ = 0;
 };

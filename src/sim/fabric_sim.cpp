@@ -71,61 +71,55 @@ FabricTrafficSource::tick(Cycle now, PacketPool &pool,
     const int fpb = net_.flowsPerBlock();
 
     for (int g = 0; g < net_.blocks(); ++g) {
-        gens_[static_cast<std::size_t>(g)]->tick(now, pool, scratch_,
-                                                 metrics);
+        TrafficGenerator &gen = *gens_[static_cast<std::size_t>(g)];
+        gen.tick(now, pool, scratch_, metrics);
         const int c = g / B;
         const int j = g % B;
         const NodeId base = net_.blockBase(g);
-        for (int f = 0; f < fpb; ++f) {
-            InjectorQueue &staged =
-                scratch_[static_cast<std::size_t>(f)];
-            while (!staged.queue().empty()) {
-                NetPacket *pkt = staged.dequeue();
-                const int k = f % slots;
-                const int y = f / slots;
-                const FlowId F = g * fpb + f;
-                const NodeId localDst = pkt->dst; // generator picks 0..H-1
-                TAQOS_ASSERT(localDst >= 0 && localDst < H,
-                             "generated destination out of the block");
+        for (const FlowId f : gen.emitted()) {
+            NetPacket *pkt = scratch_[static_cast<std::size_t>(f)].dequeue();
+            const int k = f % slots;
+            const int y = f / slots;
+            const FlowId F = g * fpb + f;
+            const NodeId localDst = pkt->dst; // generator picks 0..H-1
+            TAQOS_ASSERT(localDst >= 0 && localDst < H,
+                         "generated destination out of the block");
 
-                InjectorQueue *origin = nullptr;
-                if (k == 0) {
-                    // Terminal flows originate at the block node itself.
-                    origin = &injectors[static_cast<std::size_t>(F)];
-                    pkt->src = base + y;
-                    pkt->dst = base + localDst;
-                } else {
-                    // Row flows ride the origin chip's row mesh to its
-                    // block-entry node first; the wiring decides which
-                    // compute-node port pulls this flow's row queue.
-                    // `src` stays the column entry so ACK/NACK distances
-                    // remain column-local, exactly like ChipSim.
-                    int originChip = c;
-                    if (k > static_cast<int>(net_.catchment(j).size()))
-                        originChip = net_.remoteSourceChip(c, k);
-                    origin =
-                        &net_.rowQueues()[static_cast<std::size_t>(F)];
-                    pkt->src = base + y;
-                    pkt->finalDst = base + localDst;
-                    pkt->dst = net_.blockNodeId(originChip, j, y);
-                }
-                pkt->flow = F;
-
-                if (origin->queue().size() >= traffic_.maxQueueDepth) {
-                    // Bounded memory far past saturation: undo the
-                    // generator's accounting, as its own suppression
-                    // would.
-                    ++suppressed_;
-                    --metrics.generatedPackets;
-                    metrics.generatedFlits -=
-                        static_cast<std::uint64_t>(pkt->sizeFlits);
-                    if (pkt->measured)
-                        --metrics.measuredGenerated;
-                    pool.release(pkt);
-                    continue;
-                }
-                origin->enqueue(pkt);
+            InjectorQueue *origin = nullptr;
+            if (k == 0) {
+                // Terminal flows originate at the block node itself.
+                origin = &injectors[static_cast<std::size_t>(F)];
+                pkt->src = base + y;
+                pkt->dst = base + localDst;
+            } else {
+                // Row flows ride the origin chip's row mesh to its
+                // block-entry node first; the wiring decides which
+                // compute-node port pulls this flow's row queue. `src`
+                // stays the column entry so ACK/NACK distances remain
+                // column-local, exactly like ChipSim.
+                int originChip = c;
+                if (k > static_cast<int>(net_.catchment(j).size()))
+                    originChip = net_.remoteSourceChip(c, k);
+                origin = &net_.rowQueues()[static_cast<std::size_t>(F)];
+                pkt->src = base + y;
+                pkt->finalDst = base + localDst;
+                pkt->dst = net_.blockNodeId(originChip, j, y);
             }
+            pkt->flow = F;
+
+            if (origin->queue().size() >= traffic_.maxQueueDepth) {
+                // Bounded memory far past saturation: undo the
+                // generator's accounting, as its own suppression would.
+                ++suppressed_;
+                --metrics.generatedPackets;
+                metrics.generatedFlits -=
+                    static_cast<std::uint64_t>(pkt->sizeFlits);
+                if (pkt->measured)
+                    --metrics.measuredGenerated;
+                pool.release(pkt);
+                continue;
+            }
+            origin->enqueue(pkt);
         }
     }
 }

@@ -69,7 +69,8 @@ class FabricTrafficSource : public TrafficSource {
     TrafficConfig traffic_;
     std::vector<std::unique_ptr<TrafficGenerator>> gens_; ///< per block
     /// Staging queues (one block's local flows) the generators fill
-    /// before packets are dispatched to their origin queues.
+    /// before packets are dispatched to their origin queues. Dispatch
+    /// visits only the flows the block's generator emitted this tick.
     std::vector<InjectorQueue> scratch_;
     std::uint64_t suppressed_ = 0;
 };

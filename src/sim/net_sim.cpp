@@ -534,6 +534,14 @@ NetSim::checkInvariants() const
                      "aux port %s occupancy count drifted",
                      port->name.c_str());
     }
+
+    // The cached weight sum every priority, quota and GSF budget reads
+    // must match the flow registers it was adopted from.
+    const PvcParams &pvc = net->pvcParams();
+    TAQOS_ASSERT(pvc.sumWeights() == pvc.recountWeights(),
+                 "cached weight sum %llu drifted from the registers' %llu",
+                 static_cast<unsigned long long>(pvc.sumWeights()),
+                 static_cast<unsigned long long>(pvc.recountWeights()));
 }
 
 } // namespace taqos

@@ -20,15 +20,15 @@
 /// within a ticked router the candidate scan reruns only when an event
 /// invalidated the cached winner set. Both optimizations are exact —
 /// skipped work is provably a no-op — so the engine is bit-identical to
-/// the always-tick reference (setActivityDriven(false)), which the
-/// golden-digest and toggle-equivalence tests pin. Engine phases 1-3 and
-/// 5 always run: time-driven policy state (the GSF frame window) must
-/// advance even when every router is idle.
+/// the always-tick reference (EngineConfig::activityDriven = false),
+/// which the golden-digest and toggle-equivalence tests pin. Engine
+/// phases 1-3 and 5 always run: time-driven policy state (the GSF frame
+/// window) must advance even when every router is idle.
 ///
-/// setShards(N) splits phase 4 across N threads while staying
-/// bit-identical to the serial engines. The fabric is partitioned into N
-/// contiguous node-range regions (sim/shard_plan.h), each with a private
-/// worklist, and the cycle is restructured into:
+/// EngineConfig::shards = N splits phase 4 across N threads while
+/// staying bit-identical to the serial engines. The fabric is
+/// partitioned into N contiguous node-range regions (sim/shard_plan.h),
+/// each with a private worklist, and the cycle is restructured into:
 ///   - a serial prelude (phases 1-3, unchanged);
 ///   - one parallel dispatch per region: sweep and merge the region's
 ///     worklist, run transfer completions over its active routers
@@ -101,29 +101,6 @@ class NetSim {
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
     int shards() const { return engineCfg_.shards; }
-
-    /// Deprecated shims over configure() — prefer one EngineConfig.
-    [[deprecated("use configure(EngineConfig)")]]
-    void setActivityDriven(bool on)
-    {
-        EngineConfig cfg = engineCfg_;
-        cfg.activityDriven = on;
-        configure(cfg);
-    }
-    [[deprecated("use configure(EngineConfig)")]]
-    void setShards(int shards)
-    {
-        EngineConfig cfg = engineCfg_;
-        cfg.shards = shards;
-        configure(cfg);
-    }
-    [[deprecated("use configure(EngineConfig)")]]
-    void setShardMinActive(int n)
-    {
-        // Preserves the historical mid-run-callable contract: tune the
-        // dispatch threshold without touching engine or shard state.
-        engineCfg_.shardMinActive = n;
-    }
 
     /// Open the measurement window [start, end): latency is recorded for
     /// packets generated inside it, per-flow throughput for deliveries
@@ -210,7 +187,7 @@ class NetSim {
     void sweepWorklist();
 
     /// The sharded cycle (see file comment); step() delegates here when
-    /// setShards(N > 1) partitioned the fabric.
+    /// configure() set shards > 1 and partitioned the fabric.
     void stepSharded();
     /// A region's parallel slice of the cycle: sweep + merge its
     /// worklist, completions, then the speculative scan.

@@ -24,8 +24,7 @@ testPhases()
 }
 
 /// Engine selection for a NetSim, applied in one NetSim::configure call
-/// before the first step. Replaces the deprecated setActivityDriven /
-/// setShards / setShardMinActive mutator trio.
+/// before the first step (only `shardMinActive` may be re-tuned mid-run).
 struct EngineConfig {
     /// Activity-driven router phase (default) vs. the always-tick
     /// reference that visits every router every cycle. Bit-identical;

@@ -10,6 +10,7 @@ namespace taqos {
 Network::Network(QosMode mode, PvcParams pvc)
     : mode_(mode), pvc_(std::move(pvc)), traits_(makeQosPolicy(mode, pvc_))
 {
+    pvc_.adoptWeights();
 }
 
 Network::~Network() = default;
@@ -173,6 +174,7 @@ Network::reprogramFlowWeights(std::vector<std::uint32_t> weights)
                  "flow-register reprogram wants %d weights, got %zu",
                  pvc_.numFlows, weights.size());
     pvc_.weights = std::move(weights);
+    pvc_.adoptWeights();
     // Flow tables compute priorities from counts x weights on the fly,
     // so the rewrite is visible immediately; only the routers' cached
     // candidate orderings need rescanning.

@@ -97,10 +97,11 @@ class Network {
     /// Rewrite the per-flow QOS weights in place — the memory-mapped
     /// flow-register reprogramming the hypervisor performs when tenants
     /// arrive or depart (Sec. 2.2). Every router references pvc_, so the
-    /// new weights take effect immediately; cached arbitration state is
-    /// invalidated. Callers should apply this at frame boundaries (the
-    /// tenant-churn driver does), where in-flight priority state resets
-    /// anyway. `weights` must be empty (all-ones) or sized numFlows.
+    /// new weights — and the weight sum cached with them — take effect
+    /// immediately; cached arbitration state is invalidated. Callers
+    /// should apply this at frame boundaries (ChurnDriver does), where
+    /// in-flight priority state resets anyway. `weights` must be empty
+    /// (all-ones) or sized numFlows.
     void reprogramFlowWeights(std::vector<std::uint32_t> weights);
 
     /// Attach (or detach, with nullptr) a flit-trace recorder to every

@@ -48,28 +48,30 @@ OnOffModulator::OnOffModulator(const WorkloadSpec &spec, int numFlows,
         // Start each chain in its stationary distribution so the burst
         // phases are decorrelated from cycle 0 (no synchronized onset).
         const double pOn = spec_.burstOn / (spec_.burstOn + spec_.burstOff);
-        on_.push_back(rng_.back().nextDouble() < pOn);
+        on_.push_back(rng_.back().nextDouble() < pOn ? 1 : 0);
     }
 }
 
 void
-OnOffModulator::advance(Cycle now)
+OnOffModulator::advance(Cycle now, const std::vector<FlowId> &live)
 {
     (void)now;
-    // One transition draw per flow per cycle, always — the chain's draw
-    // count is a pure function of elapsed cycles, which keeps restore
-    // and sharding bit-identical.
-    for (std::size_t f = 0; f < rng_.size(); ++f) {
-        const double flip = on_[f] ? spec_.burstOff : spec_.burstOn;
+    // One transition draw per live flow per cycle — a chain's draw count
+    // is a pure function of the cycles its flow spent live, which keeps
+    // restore and sharding bit-identical.
+    for (const FlowId flow : live) {
+        const auto f = static_cast<std::size_t>(flow);
+        const double flip = on_[f] != 0 ? spec_.burstOff : spec_.burstOn;
         if (rng_[f].bernoulli(flip))
-            on_[f] = !on_[f];
+            on_[f] ^= 1;
     }
 }
 
 double
 OnOffModulator::scaleOf(FlowId flow) const
 {
-    return on_[static_cast<std::size_t>(flow)] ? spec_.burstGain : 0.0;
+    return on_[static_cast<std::size_t>(flow)] != 0 ? spec_.burstGain
+                                                    : 0.0;
 }
 
 std::vector<std::uint64_t>
@@ -86,7 +88,7 @@ OnOffModulator::packState() const
     for (std::size_t word = 0; word < stateWords; ++word) {
         std::uint64_t bits = 0;
         for (std::size_t b = 0; b < 64 && word * 64 + b < flows; ++b) {
-            if (on_[word * 64 + b])
+            if (on_[word * 64 + b] != 0)
                 bits |= 1ull << b;
         }
         w.push_back(bits);
@@ -107,7 +109,8 @@ OnOffModulator::unpackState(const std::vector<std::uint64_t> &words)
         i += 4;
     }
     for (std::size_t f = 0; f < flows; ++f)
-        on_[f] = (words[i + f / 64] >> (f % 64)) & 1;
+        on_[f] = static_cast<std::uint8_t>(
+            (words[i + f / 64] >> (f % 64)) & 1);
 }
 
 RampModulator::RampModulator(const WorkloadSpec &spec)
@@ -132,8 +135,9 @@ RampModulator::scaleAt(const WorkloadSpec &spec, Cycle now)
 }
 
 void
-RampModulator::advance(Cycle now)
+RampModulator::advance(Cycle now, const std::vector<FlowId> &live)
 {
+    (void)live; // one global wave: nothing per flow to advance
     scale_ = scaleAt(spec_, now);
 }
 

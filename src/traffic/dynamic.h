@@ -29,14 +29,17 @@ struct TrafficConfig;
 class TrafficTrace;
 
 /// Per-cycle injection-rate scaling. advance() is called exactly once per
-/// generated cycle, in cycle order; scaleOf() reads the scale the current
-/// cycle applies to one flow (0 silences the flow and freezes its
-/// Bernoulli stream, keeping the draw sequence deterministic).
+/// generated cycle, in cycle order, with the generator's live flows
+/// (ascending); per-flow state advances for those flows only, so a flow
+/// that is not live freezes until it is live again. scaleOf() reads the
+/// scale the current cycle applies to one live flow (0 silences the flow
+/// and freezes its Bernoulli stream, keeping the draw sequence
+/// deterministic).
 class RateModulator {
   public:
     virtual ~RateModulator() = default;
 
-    virtual void advance(Cycle now) = 0;
+    virtual void advance(Cycle now, const std::vector<FlowId> &live) = 0;
     virtual double scaleOf(FlowId flow) const = 0;
 
     /// Checkpointing, same contract as TrafficSource::packState: the
@@ -52,13 +55,14 @@ class RateModulator {
 /// Two-state Markov chain per flow: OFF -> ON with probability `on` per
 /// cycle, ON -> OFF with `off`; a flow injects at gain x its configured
 /// rate while ON and is silent while OFF. Streams are split from the
-/// traffic seed, independent of the per-flow packet streams.
+/// traffic seed, independent of the per-flow packet streams. A chain
+/// steps once per cycle in which its flow is live.
 class OnOffModulator : public RateModulator {
   public:
     OnOffModulator(const WorkloadSpec &spec, int numFlows,
                    std::uint64_t seed);
 
-    void advance(Cycle now) override;
+    void advance(Cycle now, const std::vector<FlowId> &live) override;
     double scaleOf(FlowId flow) const override;
 
     std::vector<std::uint64_t> packState() const override;
@@ -66,13 +70,13 @@ class OnOffModulator : public RateModulator {
 
     bool onState(FlowId flow) const
     {
-        return on_[static_cast<std::size_t>(flow)];
+        return on_[static_cast<std::size_t>(flow)] != 0;
     }
 
   private:
     WorkloadSpec spec_;
-    std::vector<Rng> rng_;  ///< one chain stream per flow
-    std::vector<bool> on_;  ///< current Markov state per flow
+    std::vector<Rng> rng_;          ///< one chain stream per flow
+    std::vector<std::uint8_t> on_;  ///< current Markov state per flow
 };
 
 /// Deterministic triangle wave: every flow's rate scales between `low`
@@ -82,7 +86,7 @@ class RampModulator : public RateModulator {
   public:
     explicit RampModulator(const WorkloadSpec &spec);
 
-    void advance(Cycle now) override;
+    void advance(Cycle now, const std::vector<FlowId> &live) override;
     double scaleOf(FlowId flow) const override;
 
     /// The wave itself, exposed for tests.

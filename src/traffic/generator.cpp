@@ -20,6 +20,8 @@ TrafficGenerator::TrafficGenerator(const ColumnConfig &col,
         const double rate =
             traffic_.flowActive(f) ? traffic_.rateOf(f) : 0.0;
         genProb_.push_back(rate / traffic_.meanPacketFlits());
+        if (genProb_.back() > 0.0)
+            live_.push_back(f);
     }
 }
 
@@ -38,8 +40,16 @@ TrafficGenerator::recomputeProb(FlowId flow)
 {
     const double rate = traffic_.flowActive(flow) ? traffic_.rateOf(flow)
                                                   : 0.0;
-    genProb_[static_cast<std::size_t>(flow)] =
-        rate / traffic_.meanPacketFlits();
+    double &prob = genProb_[static_cast<std::size_t>(flow)];
+    const bool wasLive = prob > 0.0;
+    prob = rate / traffic_.meanPacketFlits();
+    if (wasLive == (prob > 0.0))
+        return;
+    const auto at = std::lower_bound(live_.begin(), live_.end(), flow);
+    if (wasLive)
+        live_.erase(at);
+    else
+        live_.insert(at, flow);
 }
 
 void
@@ -91,46 +101,40 @@ TrafficGenerator::tick(Cycle now, PacketPool &pool,
                        std::vector<InjectorQueue> &injectors,
                        SimMetrics &metrics)
 {
+    emitted_.clear();
     if (now >= traffic_.genUntil)
         return;
 
-    // A modulator reshapes this cycle's probabilities; the steady path
-    // reads genProb_ directly and is untouched (bit-identical to the
-    // modulator-free build). A zero scale freezes the flow's stream —
-    // no draw — keeping the sequences deterministic through bursts.
-    const auto flows = static_cast<std::size_t>(col_.numFlows());
-    const double *prob = genProb_.data();
-    if (mod_ != nullptr) {
-        mod_->advance(now);
-        effProb_.resize(flows);
-        for (std::size_t f = 0; f < flows; ++f) {
-            effProb_[f] = std::min(
-                1.0, genProb_[f] * mod_->scaleOf(static_cast<FlowId>(f)));
-        }
-        prob = effProb_.data();
-    }
+    // Only live flows cost anything per cycle: a flow that is not live
+    // consumes no draw, so skipping it wholesale — modulator chain
+    // included — is the freeze contract of setFlowActive.
+    if (mod_ != nullptr)
+        mod_->advance(now, live_);
 
     // Batched Bernoulli pass. Each flow's stream consumes exactly the
     // draws the per-flow bernoulli() calls would (one per cycle while
     // 0 < p < 1; none at the degenerate probabilities), so the sequences
-    // stay bit-identical — only the loop structure changes.
-    draws_.resize(flows);
-    for (std::size_t f = 0; f < flows; ++f) {
-        const double p = prob[f];
+    // stay bit-identical — only the loop structure changes. A modulator
+    // reshapes the probability; a zero scale skips the draw, keeping the
+    // stream deterministic through bursts.
+    draws_.resize(live_.size());
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+        const auto f = static_cast<std::size_t>(live_[k]);
+        double p = genProb_[f];
+        if (mod_ != nullptr)
+            p = std::min(1.0, p * mod_->scaleOf(live_[k]));
+        draws_[k].p = p;
         if (p > 0.0 && p < 1.0)
-            draws_[f] = rng_[f].nextU64();
+            draws_[k].bits = rng_[f].nextU64();
     }
 
-    for (FlowId f = 0; f < col_.numFlows(); ++f) {
-        const double p = prob[static_cast<std::size_t>(f)];
-        if (p <= 0.0)
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+        const Draw &d = draws_[k];
+        if (d.p <= 0.0 || (d.p < 1.0 && Rng::doubleFromBits(d.bits) >= d.p))
             continue;
-        Rng &rng = rng_[static_cast<std::size_t>(f)];
-        if (p < 1.0 &&
-            Rng::doubleFromBits(draws_[static_cast<std::size_t>(f)]) >= p) {
-            continue;
-        }
 
+        const FlowId f = live_[k];
+        Rng &rng = rng_[static_cast<std::size_t>(f)];
         InjectorQueue &inj = injectors[static_cast<std::size_t>(f)];
         // Size and destination are drawn even when suppressed so that the
         // downstream random sequence is unperturbed.
@@ -154,6 +158,7 @@ TrafficGenerator::tick(Cycle now, PacketPool &pool,
         pkt->state = PacketState::Queued;
         pkt->measured = metrics.inWindow(now);
         inj.enqueue(pkt);
+        emitted_.push_back(f);
 
         ++metrics.generatedPackets;
         metrics.generatedFlits += static_cast<std::uint64_t>(size);

@@ -45,11 +45,23 @@ class TrafficGenerator : public TrafficSource {
     NodeId pickDest(FlowId flow);
 
     /// Reprogram one flow mid-run (the tenant-churn driver's hook; apply
-    /// at frame boundaries). An inactive flow's stream freezes — it
-    /// consumes no draws — so the change is exactly reproducible at any
-    /// shard count and across checkpoint restore.
+    /// at frame boundaries). A flow is *live* while its configured
+    /// per-cycle probability is positive; per-cycle generation work
+    /// visits live flows only. A flow that is not live freezes — its
+    /// packet stream consumes no draws and its modulator chain does not
+    /// advance — so switching it back on resumes both streams where they
+    /// stopped, exactly reproducibly at any shard count and across
+    /// checkpoint restore.
     void setFlowActive(FlowId flow, bool active);
     void setFlowRate(FlowId flow, double rate);
+
+    /// The live flows, ascending.
+    const std::vector<FlowId> &liveFlows() const { return live_; }
+
+    /// Flows that enqueued a packet during the last tick(), ascending
+    /// (at most one packet each; a suppressed generation is not listed).
+    /// Sources that stage into scratch queues dispatch exactly these.
+    const std::vector<FlowId> &emitted() const { return emitted_; }
 
     /// The installed modulator (null for steady workloads).
     const RateModulator *modulator() const { return mod_.get(); }
@@ -63,18 +75,26 @@ class TrafficGenerator : public TrafficSource {
   private:
     void recomputeProb(FlowId flow);
 
+    /// One live flow's entry in the batched Bernoulli pass (see tick).
+    struct Draw {
+        double p;           ///< this cycle's (modulated) probability
+        std::uint64_t bits; ///< raw draw; valid only when 0 < p < 1
+    };
+
     ColumnConfig col_;
     TrafficConfig traffic_;
     std::vector<Rng> rng_;        ///< one stream per flow
     std::vector<double> genProb_; ///< per-cycle packet probability per flow
-    /// Scratch for the batched per-cycle Bernoulli pass (see tick):
-    /// advancing all streams in one tight loop lets the independent
-    /// xoshiro chains pipeline, which halves the draw cost that dominates
-    /// low-rate simulations.
-    std::vector<std::uint64_t> draws_;
+    std::vector<FlowId> live_;    ///< ascending flows with genProb_ > 0
+    /// Scratch for the batched per-cycle Bernoulli pass, one entry per
+    /// live flow (parallel to live_): drawing every live stream in one
+    /// tight loop before any packet is built lets the independent
+    /// xoshiro chains pipeline, which halves the draw cost that
+    /// dominates low-rate simulations.
+    std::vector<Draw> draws_;
+    std::vector<FlowId> emitted_; ///< see emitted()
     std::uint64_t suppressed_ = 0;
     std::unique_ptr<RateModulator> mod_; ///< null = steady
-    std::vector<double> effProb_;        ///< scratch: modulated probabilities
 };
 
 } // namespace taqos

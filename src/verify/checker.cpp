@@ -67,7 +67,8 @@ struct VcHold {
 class Checker {
   public:
     Checker(const FlitTrace &trace, const CheckOptions &opts)
-        : trace_(trace), meta_(trace.meta), opts_(opts),
+        : trace_(trace), meta_(trace.meta),
+          sumW_(trace.meta.sumWeights()), opts_(opts),
           family_(familyOf(trace.meta.topology))
     {
     }
@@ -139,26 +140,27 @@ class Checker {
 
     std::uint64_t quotaCap(FlowId flow) const
     {
-        const std::uint64_t sum = meta_.sumWeights();
-        if (sum == 0)
+        if (sumW_ == 0)
             return 0;
         const std::uint64_t quota =
-            meta_.frameLen * meta_.weightOf(flow) / sum;
+            meta_.frameLen * meta_.weightOf(flow) / sumW_;
         return static_cast<std::uint64_t>(
             meta_.quotaProtect * static_cast<double>(quota));
     }
 
     std::uint64_t gsfBudget(FlowId flow) const
     {
-        const std::uint64_t sum = meta_.sumWeights();
-        if (sum == 0)
+        if (sumW_ == 0)
             return 1;
         return std::max<std::uint64_t>(
-            1, meta_.gsfFrameLen * meta_.weightOf(flow) / sum);
+            1, meta_.gsfFrameLen * meta_.weightOf(flow) / sumW_);
     }
 
     const FlitTrace &trace_;
     const TraceMeta &meta_;
+    /// The trace's total weight, summed once: the quota and GSF-budget
+    /// audits divide by it on every audited event.
+    const std::uint64_t sumW_;
     CheckOptions opts_;
     TopoFamily family_;
     CheckReport report_;

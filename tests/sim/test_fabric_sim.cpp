@@ -260,5 +260,25 @@ TEST(FabricConsolidation, ExperimentDrainsAndShardsBitIdentically)
     EXPECT_EQ(sharded.linkHops, serial.linkHops);
 }
 
+TEST(FabricConsolidation, SmallBurstyFabricDigestIsPinned)
+{
+    // Two 8x8-node chips under the default bursty workload: 128 routers,
+    // blocks whose unusable slots and unowned compute nodes leave many
+    // flows never live. The digest was recorded when generation and the
+    // ON/OFF chains still stepped every flow each cycle, so it pins that
+    // the live-flow-only hot path changes no output.
+    FabricConsolidationConfig cfg;
+    cfg.chips = 2;
+    cfg.ratePerNode = 0.15;
+    cfg.phases = RunPhases{1000, 4000, 2000};
+    cfg.workload.kind = WorkloadKind::Bursty;
+
+    const FabricConsolidationResult r = runFabricConsolidation(cfg);
+    ASSERT_NE(r.drainCycle, kNoCycle);
+    EXPECT_EQ(r.nodes, 2 * 64);
+    EXPECT_GT(r.linkHops, 0u);
+    EXPECT_EQ(r.digest, 0xbba477701d679354ull);
+}
+
 } // namespace
 } // namespace taqos

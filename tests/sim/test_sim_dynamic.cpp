@@ -235,6 +235,68 @@ TEST(ChurnDriver, ChurnsWithinBoundsAndKeepsCoSchedule)
     EXPECT_GT(churn.departures(), 0);
 }
 
+/// A column sim exposing the engine's own source-side quota tracker.
+class QuotaProbeSim : public ColumnSim {
+  public:
+    using ColumnSim::ColumnSim;
+    const QuotaTracker &quota() const { return *quota_; }
+};
+
+TEST(FlowRegisters, MidRunReprogramRefreshesTheCachedWeightSum)
+{
+    // Priorities and quotas divide by the weight sum the network cached
+    // when it adopted its flow registers; a mid-run reprogram must
+    // refresh it, or every priority and quota keeps the stale share.
+    ColumnConfig col;
+    col.topology = TopologyKind::Dps;
+    col.mode = QosMode::Pvc;
+    QuotaProbeSim sim(col, uniformTraffic(0.05, 5));
+    sim.run(3000); // mid-frame: flow tables and quotas are charged
+    const PvcParams &pvc = sim.network().pvcParams();
+    const auto flows = static_cast<std::uint64_t>(col.numFlows());
+    ASSERT_EQ(pvc.sumWeights(), flows);
+
+    std::vector<std::uint32_t> weights(flows, 1);
+    weights[0] = 9;
+    weights[1] = 3;
+    sim.network().reprogramFlowWeights(weights);
+    const std::uint64_t sum = flows + 10;
+    EXPECT_EQ(pvc.sumWeights(), sum);
+    EXPECT_EQ(pvc.recountWeights(), sum);
+
+    // Every router's virtual clock: count x new sum / new weight.
+    std::uint64_t charged = 0;
+    for (NodeId n = 0; n < sim.network().numNodes(); ++n) {
+        const FlowTable &table = sim.network().router(n)->flowTable();
+        const std::vector<std::uint64_t> &counts = table.counts();
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            const auto out = static_cast<int>(i / flows);
+            const auto flow = static_cast<FlowId>(i % flows);
+            charged += counts[i];
+            ASSERT_EQ(table.priorityOf(out, flow),
+                      counts[i] * sum / weights[i % flows])
+                << "router " << n << " output " << out << " flow " << flow;
+        }
+    }
+    EXPECT_GT(charged, 0u);
+
+    // The engine's quota tracker: compliant up to the new reserved share.
+    const QuotaTracker &quota = sim.quota();
+    for (FlowId f : {0, 1, 2}) {
+        const std::uint64_t share =
+            col.pvc.frameLen * weights[static_cast<std::size_t>(f)] / sum;
+        const std::uint64_t used = quota.injectedThisFrame(f);
+        ASSERT_LT(used, share) << "flow " << f;
+        const auto room = static_cast<int>(share - used);
+        EXPECT_TRUE(quota.compliant(f, room)) << "flow " << f;
+        EXPECT_FALSE(quota.compliant(f, room + 1)) << "flow " << f;
+    }
+
+    sim.checkInvariants();
+    sim.run(3000);
+    sim.checkInvariants();
+}
+
 /// The cell runner's segment loop in miniature, with a short QOS frame
 /// so several churn epochs land inside a fast test run.
 std::uint64_t

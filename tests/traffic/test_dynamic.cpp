@@ -30,6 +30,17 @@ burstySpec(double on = 0.01, double off = 0.01, double gain = 4.0)
     return spec;
 }
 
+/// Flows 0..n-1: every chain live, as a generator with all flows live
+/// would pass them.
+std::vector<FlowId>
+allFlows(int n)
+{
+    std::vector<FlowId> flows(static_cast<std::size_t>(n));
+    for (int f = 0; f < n; ++f)
+        flows[static_cast<std::size_t>(f)] = f;
+    return flows;
+}
+
 /// Each kept entry as a comparable tuple (the transform may rebase
 /// cycles, so identity is the full entry, not the index).
 std::set<std::tuple<Cycle, FlowId, NodeId, int>>
@@ -46,10 +57,11 @@ TEST(OnOffModulator, DutyCycleMatchesStationaryDistribution)
     // on == off -> the chain spends half its time ON in steady state.
     const int flows = 64;
     OnOffModulator mod(burstySpec(0.01, 0.01), flows, 42);
+    const std::vector<FlowId> live = allFlows(flows);
     std::uint64_t onCycles = 0;
     const int cycles = 50000;
     for (int c = 0; c < cycles; ++c) {
-        mod.advance(static_cast<Cycle>(c));
+        mod.advance(static_cast<Cycle>(c), live);
         for (FlowId f = 0; f < flows; ++f)
             onCycles += mod.onState(f) ? 1 : 0;
     }
@@ -62,8 +74,9 @@ TEST(OnOffModulator, ScaleIsGainOnAndZeroOff)
 {
     const WorkloadSpec spec = burstySpec(0.05, 0.05, 6.0);
     OnOffModulator mod(spec, 16, 7);
+    const std::vector<FlowId> live = allFlows(16);
     for (int c = 0; c < 2000; ++c) {
-        mod.advance(static_cast<Cycle>(c));
+        mod.advance(static_cast<Cycle>(c), live);
         for (FlowId f = 0; f < 16; ++f) {
             const double s = mod.scaleOf(f);
             EXPECT_DOUBLE_EQ(s, mod.onState(f) ? 6.0 : 0.0);
@@ -77,11 +90,12 @@ TEST(OnOffModulator, IndependentStreamsPerFlowAndSeed)
     OnOffModulator a(burstySpec(), 32, 1);
     OnOffModulator b(burstySpec(), 32, 1);
     OnOffModulator c(burstySpec(), 32, 2);
+    const std::vector<FlowId> live = allFlows(32);
     bool differs = false;
     for (int cyc = 0; cyc < 5000; ++cyc) {
-        a.advance(static_cast<Cycle>(cyc));
-        b.advance(static_cast<Cycle>(cyc));
-        c.advance(static_cast<Cycle>(cyc));
+        a.advance(static_cast<Cycle>(cyc), live);
+        b.advance(static_cast<Cycle>(cyc), live);
+        c.advance(static_cast<Cycle>(cyc), live);
         for (FlowId f = 0; f < 32; ++f) {
             ASSERT_EQ(a.onState(f), b.onState(f));
             differs = differs || a.onState(f) != c.onState(f);
@@ -93,16 +107,17 @@ TEST(OnOffModulator, IndependentStreamsPerFlowAndSeed)
 TEST(OnOffModulator, PackUnpackResumesBitIdentically)
 {
     OnOffModulator live(burstySpec(0.004, 0.02, 3.0), 48, 99);
+    const std::vector<FlowId> flows = allFlows(48);
     for (int c = 0; c < 1234; ++c)
-        live.advance(static_cast<Cycle>(c));
+        live.advance(static_cast<Cycle>(c), flows);
     const auto words = live.packState();
     EXPECT_FALSE(words.empty());
 
     OnOffModulator resumed(burstySpec(0.004, 0.02, 3.0), 48, 99);
     resumed.unpackState(words);
     for (int c = 1234; c < 4000; ++c) {
-        live.advance(static_cast<Cycle>(c));
-        resumed.advance(static_cast<Cycle>(c));
+        live.advance(static_cast<Cycle>(c), flows);
+        resumed.advance(static_cast<Cycle>(c), flows);
         for (FlowId f = 0; f < 48; ++f)
             ASSERT_EQ(live.onState(f), resumed.onState(f))
                 << "cycle " << c << " flow " << f;
@@ -132,7 +147,7 @@ TEST(RampModulator, TriangleWaveIsBoundedAndSymmetric)
 
     RampModulator mod(spec);
     for (Cycle c = 0; c < 2500; c += 7) {
-        mod.advance(c);
+        mod.advance(c, {});
         EXPECT_DOUBLE_EQ(mod.scaleOf(0), RampModulator::scaleAt(spec, c));
         EXPECT_DOUBLE_EQ(mod.scaleOf(63), mod.scaleOf(0));
     }
