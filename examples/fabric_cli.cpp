@@ -12,8 +12,9 @@
 ///   topo=dps             column topology (mesh_x1..fbfly)
 ///   mode=pvc             column QoS policy
 ///   links=p2p|ring       inter-chip link topology
-///   rate=0.05            flits/cycle per owned compute node
-///   remote=0.25          remote-chip share of each node's rate
+///   rate=0.05            flits/cycle per owned compute node, in (0, 1]
+///   remote=0.25          remote-chip share of each node's rate, in
+///                        [0, 1]
 ///   workload=SPEC        dynamic workload (steady | bursty:... |
 ///                        ramp:...; burst=on,off,gain shorthand works
 ///                        too — trace/churn have no fabric embedding)
@@ -25,12 +26,16 @@
 ///   seed=S warmup=C measure=C drain=C
 ///   fast=1               short phases for smokes
 ///
+/// A malformed geometry (chips, tiles, columns) or an out-of-range rate
+/// prints one diagnosed line and exits 1 before any work starts.
+///
 /// Examples:
 ///   fabric_cli fast=1
 ///   fabric_cli chips=2 tiles=16 columns=4 links=ring verify=1
 ///   fabric_cli fast=1 shards=4 crosscheck=1 verify=1   # CI smoke
 #include <cstdio>
 
+#include "chip/os.h"
 #include "common/options.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -51,14 +56,40 @@ main(int argc, char **argv)
         opts.has("columns") ? parseIntList(opts.get("columns", ""))
                             : std::vector<int>{4, 12};
     cfg.topology = enumOption(opts, "topo", TopologyKind::Dps,
-                              parseTopology, "topology",
-                              joinNames(kAllTopologies, topologyName));
+                              parseTopology, "topology", topologyNames());
     cfg.mode = enumOption(opts, "mode", QosMode::Pvc, parseQosMode, "mode",
                           joinNames(kAllQosModes, qosModeName));
     cfg.links = enumOption(opts, "links", LinkTopology::PointToPoint,
                            parseLinkTopology, "link topology", "p2p ring");
     cfg.ratePerNode = opts.getDouble("rate", 0.05);
+    if (!(cfg.ratePerNode > 0.0 && cfg.ratePerNode <= 1.0)) {
+        optionError(strFormat("bad rate '%s': want flits/cycle per node "
+                              "in (0, 1]",
+                              opts.get("rate", "").c_str()));
+    }
     cfg.remoteShare = opts.getDouble("remote", 0.25);
+    if (!(cfg.remoteShare >= 0.0 && cfg.remoteShare <= 1.0)) {
+        optionError(strFormat("bad remote '%s': want a share in [0, 1]",
+                              opts.get("remote", "").c_str()));
+    }
+    FabricSpec shape;
+    shape.chips = cfg.chips;
+    shape.chip = cfg.chip;
+    shape.links = cfg.links;
+    if (const std::string bad = shape.validate(); !bad.empty())
+        optionError(bad);
+    // Every chip admits the paper's three-VM mix; a chip too small for it
+    // is a malformed geometry too.
+    OsScheduler probe(cfg.chip);
+    for (const auto &vm : vmPlacements()[0].servers) {
+        if (!probe.createVm(vm.id, vm.threads, vm.weight)) {
+            optionError(strFormat("bad fabric: %d compute nodes per chip "
+                                  "cannot host VM %d (%d threads) of the "
+                                  "three-VM mix",
+                                  cfg.chip.computeNodes(), vm.id,
+                                  vm.threads));
+        }
+    }
     const std::vector<WorkloadSpec> wspecs = workloadAxisFromOpts(opts);
     if (wspecs.size() > 1)
         optionError("fabric_cli takes a single workload spec");

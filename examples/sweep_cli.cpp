@@ -112,7 +112,7 @@ main(int argc, char **argv)
     if (topos != "all") {
         spec.topologies =
             parseEnumList(topos, parseTopology, "topology",
-                          joinNames(kAllTopologies, topologyName));
+                          topologyNames());
     }
     if (opts.has("patterns")) {
         spec.patterns =

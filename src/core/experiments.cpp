@@ -339,6 +339,8 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     spec.chip = cfg.chip;
     spec.column = paperColumn(cfg.topology, cfg.mode);
     spec.links = cfg.links;
+    const std::string bad = spec.validate();
+    TAQOS_ASSERT(bad.empty(), "%s", bad.c_str());
 
     // Flow-register programming needs the flow-id geometry before the
     // network exists; fabricCatchments gives the same partition build()

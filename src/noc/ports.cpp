@@ -74,6 +74,17 @@ InputPort::onVcReserved(VirtualChannel &vc)
     }
     if (owner != nullptr)
         owner->noteVcReserved(this, vcIndex(vc));
+    else
+        armEjection();
+}
+
+void
+InputPort::armEjection()
+{
+    if (ejectList_ != nullptr && !ejectArmed_) {
+        ejectArmed_ = true;
+        ejectList_->pending.push_back(ejectOrdinal_);
+    }
 }
 
 void
@@ -196,7 +207,7 @@ OutputPort::startTransfer(NetPacket *pkt, int dropIdx, int dstVc, VcRef srcVc,
     nextStart_ = now + static_cast<Cycle>(pkt->sizeFlits);
     pkt->addXfer(this);
     if (owner != nullptr)
-        owner->noteXferStarted(xfer_.tailDepart);
+        owner->noteXferStarted(*this);
 
     if (srcVc.port != nullptr)
         srcVc.port->vcs[static_cast<std::size_t>(srcVc.vc)].startDrain();

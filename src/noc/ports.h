@@ -17,8 +17,9 @@
 /// retire. Each hook maintains incremental occupancy counts on the port
 /// and notifies the owning Router so the activity-driven engine re-arms
 /// it (see router.h). Ports without an owner (terminal/handoff buffers,
-/// standalone unit-test fixtures) still keep their occupancy counts,
-/// which the engine uses to skip idle ejection scans.
+/// standalone unit-test fixtures) still keep their occupancy counts; the
+/// engine's terminal and handoff buffers also arm themselves onto its
+/// ejection list when a VC is reserved into them (noc/activity.h).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 
 #include "common/arena.h"
 #include "common/types.h"
+#include "noc/activity.h"
 #include "noc/packet.h"
 #include "noc/vc.h"
 
@@ -234,9 +236,27 @@ class InputPort {
     /// owning router — terminals, handoffs — included).
     std::uint64_t mutEpoch() const { return hot_->mutEpoch; }
 
+    // --- ejection list (owner-less terminal/handoff buffers) -----------
+
+    /// Register with the engine's ejection list under `ordinal` (wired by
+    /// Network::finalizeRouters, before any packet arrives).
+    void setEjectionList(EjectionList *list, int ordinal)
+    {
+        ejectList_ = list;
+        ejectOrdinal_ = ordinal;
+    }
+    bool onEjectionList() const { return ejectArmed_; }
+    /// Arm onto the ejection list (no-op when already armed or unwired).
+    void armEjection();
+    /// Engine sweep: the buffer drained and left the list.
+    void leaveEjectionList() { ejectArmed_ = false; }
+
   private:
     PortHot localHot_;
     PortHot *hot_ = &localHot_;
+    EjectionList *ejectList_ = nullptr;
+    int ejectOrdinal_ = -1;
+    bool ejectArmed_ = false;
 };
 
 class OutputPort {
@@ -272,6 +292,9 @@ class OutputPort {
     /// Router this channel belongs to (set by addOutputPort; transfer
     /// start/completion keeps its active-transfer count in step).
     Router *owner = nullptr;
+    /// Position in the owner's output list (set by addOutputPort; orders
+    /// same-cycle completions on the engine's calendar).
+    int index = -1;
 
     /// Flow-state table this output charges/queries. Replicated mesh
     /// channels in the same direction form one logical output and share a
@@ -284,14 +307,16 @@ class OutputPort {
 
     /// Begin streaming `pkt` towards drop `dropIdx`, into VC `dstVc`.
     /// `srcVc` identifies the draining VC ({nullptr,-1} for injection).
-    /// Caller has already reserved the downstream VC.
+    /// Caller has already reserved the downstream VC. The only way a
+    /// transfer starts: it files the completion on the owner's calendar.
     void startTransfer(NetPacket *pkt, int dropIdx, int dstVc, VcRef srcVc,
                        Cycle now);
 
     /// Complete the transfer if its tail has departed: frees the source VC
     /// (credit visible after the source port's credit delay) and credits
-    /// the packet with the hop traversal. Call once per cycle before
-    /// arbitration.
+    /// the packet with the hop traversal. The always-tick engine calls it
+    /// once per cycle before arbitration; the activity-driven engine only
+    /// at calendar entries (a no-op for an entry a cancel left stale).
     void tickCompletion(Cycle now);
 
     /// Abort the in-progress transfer because its packet was preempted.

@@ -24,6 +24,7 @@ OutputPort *
 Router::addOutputPort(std::unique_ptr<OutputPort> port)
 {
     port->owner = this;
+    port->index = static_cast<int>(outputs_.size());
     outputs_.push_back(std::move(port));
     return outputs_.back().get();
 }
@@ -56,7 +57,7 @@ Router::markArbDirty()
 }
 
 void
-Router::insertSlot(int outPort, const ArbSlot &slot)
+Router::insertSlot(int outPort, const ArbSlot &slot, Cycle eligibleAt)
 {
     auto &list = slots_[static_cast<std::size_t>(outPort)];
     // Keep enumeration order so a per-output scan compares candidates in
@@ -65,7 +66,21 @@ Router::insertSlot(int outPort, const ArbSlot &slot)
     while (it != list.end() && it->key < slot.key)
         ++it;
     list.insert(it, slot);
-    dirtyOutput(outPort);
+    // Until `eligibleAt` every scan skips the new slot, so the cached
+    // winner is exactly what a rescan would find; the wake brings the
+    // rescan in on the first cycle it could differ (at once when the
+    // slot is already eligible).
+    wakeOutput(outPort, eligibleAt);
+}
+
+Cycle
+Router::slotEligibleAt(const ArbSlot &slot) const
+{
+    const Cycle ready = static_cast<Cycle>(slot.port->pipelineDelay - 1);
+    if (slot.inj != nullptr)
+        return slot.inj->queue().front()->queuedCycle + ready;
+    return slot.port->vcs[static_cast<std::size_t>(slot.vc)].headArrival() +
+           ready;
 }
 
 void
@@ -110,7 +125,7 @@ Router::addVcSlot(InputPort *in, int vcIdx)
     slot.vc = vcIdx;
     slot.key = in->enumBase + static_cast<std::uint32_t>(vcIdx) + 1;
     slot.dropIdx = route.dropIdx;
-    insertSlot(route.outPort, slot);
+    insertSlot(route.outPort, slot, slotEligibleAt(slot));
     vc.setArbOutput(route.outPort);
 }
 
@@ -130,7 +145,7 @@ Router::updateInjectorSlot(InjectorQueue &inj)
     slot.key =
         inj.port->enumBase + static_cast<std::uint32_t>(inj.slotIdx) + 1;
     slot.dropIdx = route.dropIdx;
-    insertSlot(route.outPort, slot);
+    insertSlot(route.outPort, slot, slotEligibleAt(slot));
     inj.headOut = route.outPort;
 }
 
@@ -191,11 +206,13 @@ Router::noteInjectorWindowChange(InjectorQueue &inj)
 }
 
 void
-Router::noteXferStarted(Cycle tailDepart)
+Router::noteXferStarted(OutputPort &out)
 {
+    const Cycle tailDepart = out.transfer().tailDepart;
     ++hot_->activeXfers;
     if (tailDepart < hot_->nextCompletion)
         hot_->nextCompletion = tailDepart;
+    fileCompletion(out);
     arm();
 }
 
@@ -937,6 +954,56 @@ Router::rebuildFromRestore()
     winners_ = 0;
     mutEpoch_ = 0;
     inWorklist_ = false; // the engine repopulates its pending lists
+}
+
+void
+Router::fileCompletion(OutputPort &out)
+{
+    if (worklist_ != nullptr) {
+        worklist_->completions.file(
+            &out, CompletionCalendar::orderKey(node_, out.index),
+            out.transfer().tailDepart);
+    }
+}
+
+void
+Router::fileActiveTransfers()
+{
+    for (const auto &out : outputs_) {
+        if (out->transfer().active)
+            fileCompletion(*out);
+    }
+}
+
+void
+Router::checkWakes(Cycle now) const
+{
+    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+        TAQOS_ASSERT(anyOutDirty_ || minWake_ <= outWake_[o],
+                     "router %d: summary wake %llu later than output "
+                     "%zu's %llu",
+                     node_, static_cast<unsigned long long>(minWake_), o,
+                     static_cast<unsigned long long>(outWake_[o]));
+        if (outDirty_[o] != 0)
+            continue;
+        for (const ArbSlot &slot : slots_[o]) {
+            // A head stalled on its retransmission window waits for the
+            // window-change hook, not for time.
+            if (slot.inj != nullptr &&
+                !slot.inj->queue().front()->inWindow &&
+                !slot.inj->windowOpen()) {
+                continue;
+            }
+            const Cycle at = slotEligibleAt(slot);
+            TAQOS_ASSERT(at < now || outWake_[o] <= at,
+                         "router %d output %zu: slot %s/%d eligible at "
+                         "%llu but the output wakes at %llu",
+                         node_, o, slot.port->name.c_str(),
+                         slot.inj != nullptr ? slot.inj->slotIdx : slot.vc,
+                         static_cast<unsigned long long>(at),
+                         static_cast<unsigned long long>(outWake_[o]));
+        }
+    }
 }
 
 void

@@ -13,7 +13,9 @@
 /// its mode selects (qos/policy.h).
 ///
 /// Per-cycle operation:
-///   1. tickCompletion on every output (tail departures free source VCs).
+///   1. Transfer completions (tail departures free source VCs): every
+///      output under the always-tick engine, the due entries of the
+///      engine's completion calendar under the activity-driven one.
 ///   2. Virtual-channel allocation per output port: the highest-priority
 ///      eligible packet gets a downstream VC and starts streaming
 ///      (virtual cut-through: the whole packet follows, crossbar
@@ -168,8 +170,10 @@ class Router {
     // scheduled eligibility (head arrival + pipeline, injection
     // readiness) has come due; everything else re-attempts the cached
     // winner, which is exactly what the always-tick engine would
-    // recompute. All scans of a cycle run before any grant, mirroring the
-    // legacy collect-then-grant phases. See README "Performance".
+    // recompute. A new slot only schedules a wake at its eligibility (it
+    // cannot win before then); removals and grants dirty. All scans of a
+    // cycle run before any grant, mirroring the legacy collect-then-grant
+    // phases. See README "Performance".
 
     /// Register with the engine worklist (arms the router immediately).
     void setWorklist(ActivityWorklist *wl);
@@ -177,6 +181,8 @@ class Router {
     /// touching the membership flag (the caller moves pending entries).
     void rebindWorklist(ActivityWorklist *wl) { worklist_ = wl; }
     bool inWorklist() const { return inWorklist_; }
+    /// The worklist (and completion calendar) this router arms onto.
+    const ActivityWorklist *worklist() const { return worklist_; }
     /// Engine sweep: drop an idle router from the worklist.
     void leaveWorklist() { inWorklist_ = false; }
 
@@ -213,6 +219,16 @@ class Router {
     /// invalidation would, which is proven bit-identical.
     void rebuildFromRestore();
 
+    /// Checkpoint restore, after the worklists are rebound: file every
+    /// restored in-flight transfer on this router's completion calendar.
+    void fileActiveTransfers();
+
+    /// Activity-state self-check at the cycle boundary before `now`:
+    /// every clean output holding a slot that is not yet eligible has a
+    /// wake at or before that slot's eligibility, and the router-level
+    /// summary wake is no later than any output's.
+    void checkWakes(Cycle now) const;
+
     // Hooks from the port layer (see ports.h). Work-creating events arm
     // the router onto the worklist; work-neutral events only dirty the
     // affected outputs (the `hasWork() implies inWorklist()` invariant
@@ -223,8 +239,8 @@ class Router {
     void noteInjectorEnqueue(InjectorQueue &inj, bool headChanged);
     void noteInjectorDequeue(InjectorQueue &inj);
     void noteInjectorWindowChange(InjectorQueue &inj);
-    /// An output began streaming; its tail departs at `tailDepart`.
-    void noteXferStarted(Cycle tailDepart);
+    /// `out` began streaming: count it and file its completion.
+    void noteXferStarted(OutputPort &out);
     void noteXferEnded(); ///< transfer completed or cancelled
     /// Flow-table mutation at table `tableIdx` (-1 = all tables): the
     /// virtual-clock priorities of every output charging that table are
@@ -270,8 +286,13 @@ class Router {
 
     void addVcSlot(InputPort *in, int vcIdx);
     void updateInjectorSlot(InjectorQueue &inj);
-    void insertSlot(int outPort, const ArbSlot &slot);
+    /// Add `slot` to `outPort`'s list; it cannot compete before
+    /// `eligibleAt`, so the cached winner stays exact until then and the
+    /// output is woken instead of dirtied.
+    void insertSlot(int outPort, const ArbSlot &slot, Cycle eligibleAt);
     void removeVcSlot(int outPort, const InputPort *in, int vcIdx);
+    /// File `out`'s in-flight transfer on the worklist's calendar.
+    void fileCompletion(OutputPort &out);
     void removeInjectorSlot(int outPort, const InjectorQueue *inj);
     void dirtyOutput(int outPort)
     {
@@ -279,6 +300,18 @@ class Router {
         anyOutDirty_ = true;
         ++mutEpoch_;
     }
+    void wakeOutput(int outPort, Cycle at)
+    {
+        Cycle &wake = outWake_[static_cast<std::size_t>(outPort)];
+        if (at < wake)
+            wake = at;
+        if (at < minWake_)
+            minWake_ = at;
+        ++mutEpoch_; // the victim search sees the new slot
+    }
+    /// Earliest cycle `slot` can be an arbitration candidate by time
+    /// alone (head arrival + pipeline, or injection readiness).
+    Cycle slotEligibleAt(const ArbSlot &slot) const;
 
     bool betterThan(const Candidate &a, const Candidate &b, int outPort) const;
     void tryGrant(Candidate &cand, TickContext &ctx);

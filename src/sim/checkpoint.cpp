@@ -910,6 +910,7 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
                 }
             }
         }
+        rebuildSchedules();
         return true;
     } catch (const CheckpointError &e) {
         if (err != nullptr)

@@ -91,7 +91,9 @@ class ChipSim : public NetSim {
     void checkInvariants() const override;
 
   protected:
-    void tickTerminals() override;
+    /// Row-to-column handoff of a packet whose tail reached its
+    /// boundary buffer.
+    void handoff(NetPacket *pkt, InputPort *port, int vcIdx) override;
     /// Checkpoint "extra" section: the handoff counter and the
     /// compute-node source queues (the handoff buffers themselves are
     /// aux ports, covered by the base format).
@@ -99,8 +101,6 @@ class ChipSim : public NetSim {
     void restoreExtra(CheckpointReader &r) override;
 
   private:
-    void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
-
     ChipTrafficSource *src_ = nullptr; ///< owned by NetSim::source_
     std::uint64_t handoffs_ = 0;
 };

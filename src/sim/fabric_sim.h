@@ -98,7 +98,11 @@ class FabricSim : public NetSim {
     void checkInvariants() const override;
 
   protected:
+    /// Link arrivals first, then the base ejection phase.
     void tickTerminals() override;
+    /// Boundary handoff of a packet whose tail reached its row's
+    /// handoff buffer: into the local column, or onto the link fabric.
+    void handoff(NetPacket *pkt, InputPort *port, int vcIdx) override;
     /// Checkpoint "extra" section: the handoff/link counters, the
     /// compute-node source queues, and every inter-chip link's occupancy
     /// horizon and in-flight FIFO.
@@ -114,7 +118,6 @@ class FabricSim : public NetSim {
         std::deque<std::pair<NetPacket *, Cycle>> inFlight; ///< (pkt, due)
     };
 
-    void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
     void sendOnLink(NetPacket *pkt, int srcChip, int dstChip);
     /// Serial, top of phase 5: pop due link packets in fixed link order
     /// and enqueue them into their destination-block entrance queues

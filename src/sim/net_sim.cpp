@@ -1,6 +1,8 @@
 #include "sim/net_sim.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/assert.h"
 #include "noc/trace_sink.h"
@@ -16,6 +18,7 @@ NetSim::NetSim(std::unique_ptr<Network> net)
     if (net_->policyTraits().usesSourceQuota())
         quota_ = std::make_unique<QuotaTracker>(net_->pvcParams());
     gate_ = makeSourceGate(net_->mode(), net_->pvcParams());
+    net_->worklist().completions.setEnabled(engineCfg_.activityDriven);
 }
 
 NetSim::~NetSim() = default;
@@ -53,6 +56,9 @@ NetSim::configure(const EngineConfig &cfg)
     regions_.clear();
     shardPool_.reset();
     net_->worklist().pending.clear();
+    // Only the activity-driven engine drains completion calendars; the
+    // always-tick reference sweeps every output instead.
+    net_->worklist().completions.setEnabled(engineCfg_.activityDriven);
 
     if (engineCfg_.shards <= 1) {
         // Back to the shared worklist (tests flip this both ways). Armed
@@ -73,6 +79,7 @@ NetSim::configure(const EngineConfig &cfg)
         Region &reg = regions_[i];
         reg.begin = ranges[i].first;
         reg.end = ranges[i].second;
+        reg.wl.completions.setEnabled(engineCfg_.activityDriven);
         for (NodeId n = reg.begin; n < reg.end; ++n) {
             Router *r = net_->router(n);
             r->rebindWorklist(&reg.wl);
@@ -92,32 +99,21 @@ NetSim::attachTraceSink(TraceSink *sink)
 }
 
 void
-NetSim::mergeWorklist()
+NetSim::sweepIdle(std::vector<NodeId> &active)
 {
-    auto &pending = net_->worklist().pending;
-    if (pending.empty())
-        return;
-    // Restore node order: the always-tick engine visits routers by
-    // ascending node id, and same-cycle mutations (a grant at router A
-    // dirtying router B) must stay ordered identically.
-    std::sort(pending.begin(), pending.end());
-    const auto mid = static_cast<std::ptrdiff_t>(active_.size());
-    active_.insert(active_.end(), pending.begin(), pending.end());
-    std::inplace_merge(active_.begin(), active_.begin() + mid,
-                       active_.end());
-    pending.clear();
-}
-
-void
-NetSim::sweepWorklist()
-{
-    std::erase_if(active_, [this](NodeId n) {
+    std::erase_if(active, [this](NodeId n) {
         Router *r = net_->router(n);
         if (r->hasWork())
             return false;
         r->leaveWorklist();
         return true;
     });
+}
+
+void
+NetSim::completeTransfers(CompletionCalendar &cal)
+{
+    cal.drain(now_, [this](OutputPort &out) { out.tickCompletion(now_); });
 }
 
 void
@@ -233,48 +229,51 @@ NetSim::deliver(NetPacket *pkt, InputPort *port, int vcIdx)
 }
 
 void
-NetSim::tickTerminals()
+NetSim::handoff(NetPacket *, InputPort *port, int)
 {
-    for (NodeId n = 0; n < net_->numNodes(); ++n) {
-        InputPort *port = net_->termPort(n);
-        // Incremental-occupancy shortcut: an empty ejection buffer has
-        // nothing to deliver (exact — occupied()==0 means every VC Free).
-        if (engineCfg_.activityDriven && port->occupied() == 0)
+    TAQOS_ASSERT(false, "aux buffer %s has no handoff", port->name.c_str());
+}
+
+void
+NetSim::ejectFrom(InputPort *port, bool aux)
+{
+    for (int v = 0; v < static_cast<int>(port->vcs.size()); ++v) {
+        VirtualChannel &vc = port->vcs[static_cast<std::size_t>(v)];
+        if (vc.state() != VirtualChannel::State::Reserved ||
+            now_ < vc.tailArrival()) {
             continue;
-        for (int v = 0; v < static_cast<int>(port->vcs.size()); ++v) {
-            VirtualChannel &vc = port->vcs[static_cast<std::size_t>(v)];
-            if (vc.state() != VirtualChannel::State::Reserved)
-                continue;
-            if (now_ >= vc.tailArrival())
-                deliver(vc.packet(), port, v);
         }
+        if (aux)
+            handoff(vc.packet(), port, v);
+        else
+            deliver(vc.packet(), port, v);
     }
 }
 
 void
-NetSim::sweepRegion(Region &reg)
+NetSim::tickTerminals()
 {
-    std::erase_if(reg.active, [this](NodeId n) {
-        Router *r = net_->router(n);
-        if (r->hasWork())
+    const int terms = net_->numNodes();
+    if (!engineCfg_.activityDriven) {
+        for (int k = 0; k < net_->numEjectionPorts(); ++k)
+            ejectFrom(net_->ejectionPort(k), k >= terms);
+        return;
+    }
+
+    // Poll only the buffers holding a packet, in ordinal order (the
+    // always-tick sweep's order). Ejection touches no other buffer's
+    // VCs, so nothing arms during the walk.
+    EjectionList &ej = net_->ejection();
+    mergeArms(ej.active, ej.pending);
+    for (int k : ej.active)
+        ejectFrom(net_->ejectionPort(k), k >= terms);
+    std::erase_if(ej.active, [this](int k) {
+        InputPort *port = net_->ejectionPort(k);
+        if (port->occupied() > 0)
             return false;
-        r->leaveWorklist();
+        port->leaveEjectionList();
         return true;
     });
-}
-
-void
-NetSim::mergeRegion(Region &reg)
-{
-    auto &pending = reg.wl.pending;
-    if (pending.empty())
-        return;
-    std::sort(pending.begin(), pending.end());
-    const auto mid = static_cast<std::ptrdiff_t>(reg.active.size());
-    reg.active.insert(reg.active.end(), pending.begin(), pending.end());
-    std::inplace_merge(reg.active.begin(), reg.active.begin() + mid,
-                       reg.active.end());
-    pending.clear();
 }
 
 void
@@ -285,10 +284,9 @@ NetSim::regionPhase(Region &reg, TickContext &scanCtx)
     // again by this cycle's prelude simply stays (the prelude's arm was a
     // no-op on its still-set flag), which is exactly the set the serial
     // order produces.
-    sweepRegion(reg);
-    mergeRegion(reg);
-    for (NodeId n : reg.active)
-        net_->router(n)->tickCompletions(scanCtx.now);
+    sweepIdle(reg.active);
+    mergeArms(reg.active, reg.wl.pending);
+    completeTransfers(reg.wl.completions);
     for (NodeId n : reg.active)
         net_->router(n)->tickScan(scanCtx);
 }
@@ -331,10 +329,9 @@ NetSim::stepSharded()
             // byte-identical to the serial engines'. The scans are pure
             // and may still fan out.
             for (Region &reg : regions_) {
-                sweepRegion(reg);
-                mergeRegion(reg);
-                for (NodeId n : reg.active)
-                    net_->router(n)->tickCompletions(now_);
+                sweepIdle(reg.active);
+                mergeArms(reg.active, reg.wl.pending);
+                completeTransfers(reg.wl.completions);
             }
             if (par) {
                 shardPool_->dispatch(
@@ -418,9 +415,8 @@ NetSim::step()
         // not actionable until next cycle — a previously-idle router's
         // tick this cycle would be a no-op — so they join then, exactly
         // matching the always-tick schedule.
-        mergeWorklist();
-        for (NodeId n : active_)
-            net_->router(n)->tickCompletions(now_);
+        mergeArms(active_, net_->worklist().pending);
+        completeTransfers(net_->worklist().completions);
         for (NodeId n : active_)
             net_->router(n)->tickArbitrate(ctx);
     } else {
@@ -432,8 +428,32 @@ NetSim::step()
 
     tickTerminals();
     if (engineCfg_.activityDriven)
-        sweepWorklist();
+        sweepIdle(active_);
     ++now_;
+}
+
+void
+NetSim::rebuildSchedules()
+{
+    // Every restored transfer goes back on its router's calendar (the
+    // worklists are already rebound), and every buffer holding a packet
+    // back on the ejection list — the schedules the uninterrupted run
+    // holds, minus stale entries, which complete nothing anyway.
+    net_->worklist().completions.reset(now_);
+    for (Region &reg : regions_)
+        reg.wl.completions.reset(now_);
+    for (NodeId n = 0; n < net_->numNodes(); ++n)
+        net_->router(n)->fileActiveTransfers();
+
+    EjectionList &ej = net_->ejection();
+    ej.pending.clear();
+    ej.active.clear();
+    for (int k = 0; k < net_->numEjectionPorts(); ++k) {
+        InputPort *port = net_->ejectionPort(k);
+        port->leaveEjectionList();
+        if (port->occupied() > 0)
+            port->armEjection();
+    }
 }
 
 void
@@ -533,6 +553,53 @@ NetSim::checkInvariants() const
         TAQOS_ASSERT(port->occupied() == port->occupiedVcs(),
                      "aux port %s occupancy count drifted",
                      port->name.c_str());
+    }
+
+    // Event schedules. Every buffer holding a packet is on the ejection
+    // list (exactly the armed ones, each once).
+    const EjectionList &ej = net->ejection();
+    std::vector<std::uint8_t> listed(
+        static_cast<std::size_t>(net->numEjectionPorts()), 0);
+    for (const auto *list : {&ej.pending, &ej.active}) {
+        for (int k : *list) {
+            TAQOS_ASSERT(k >= 0 && k < net->numEjectionPorts(),
+                         "ejection ordinal %d out of range", k);
+            std::uint8_t &seen = listed[static_cast<std::size_t>(k)];
+            TAQOS_ASSERT(seen == 0, "ejection ordinal %d listed twice", k);
+            seen = 1;
+        }
+    }
+    for (int k = 0; k < net->numEjectionPorts(); ++k) {
+        const InputPort *port = net->ejectionPort(k);
+        TAQOS_ASSERT(port->onEjectionList() ==
+                         (listed[static_cast<std::size_t>(k)] != 0),
+                     "buffer %s ejection flag disagrees with the list",
+                     port->name.c_str());
+        TAQOS_ASSERT(port->occupied() == 0 || port->onEjectionList(),
+                     "buffer %s holds a packet but is not on the ejection "
+                     "list",
+                     port->name.c_str());
+    }
+    // Under the activity-driven engine every in-flight transfer sits on
+    // its router's calendar at its tail departure, and every output's
+    // wake covers the slots that are not yet eligible.
+    if (engineCfg_.activityDriven) {
+        for (NodeId n = 0; n < net->numNodes(); ++n) {
+            const Router *r = net->router(n);
+            for (const auto &out : r->outputs()) {
+                const OutputPort::Transfer &xfer = out->transfer();
+                TAQOS_ASSERT(!xfer.active ||
+                                 (r->worklist() != nullptr &&
+                                  r->worklist()->completions.holds(
+                                      out.get(), xfer.tailDepart)),
+                             "transfer on %s (tail departs %llu) is not "
+                             "on the completion calendar",
+                             out->name.c_str(),
+                             static_cast<unsigned long long>(
+                                 xfer.tailDepart));
+            }
+            r->checkWakes(now_);
+        }
     }
 
     // The cached weight sum every priority, quota and GSF budget reads

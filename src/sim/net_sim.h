@@ -14,16 +14,24 @@
 ///      preemption per output.
 ///   5. Terminal ejection: packets whose tail has arrived are delivered.
 ///
-/// By default the engine is *activity-driven*: phase 4 visits only the
-/// routers on the shared worklist (those holding an occupied VC, a queued
-/// source packet, or an in-flight transfer — see Router::hasWork), and
-/// within a ticked router the candidate scan reruns only when an event
-/// invalidated the cached winner set. Both optimizations are exact —
-/// skipped work is provably a no-op — so the engine is bit-identical to
-/// the always-tick reference (EngineConfig::activityDriven = false),
-/// which the golden-digest and toggle-equivalence tests pin. Engine
-/// phases 1-3 and 5 always run: time-driven policy state (the GSF frame
-/// window) must advance even when every router is idle.
+/// By default the engine is *activity-driven*: every per-cycle sweep is
+/// replaced by a schedule of due work (noc/activity.h):
+///   - phase 4's completions drain the calendar bucket of this cycle —
+///     exactly the transfers whose tail departs now, in (node, output)
+///     order;
+///   - arbitration visits only the routers on the shared worklist (those
+///     holding an occupied VC, a queued source packet, or an in-flight
+///     transfer — see Router::hasWork), and within a ticked router the
+///     candidate scan reruns only when an event invalidated the cached
+///     winner set or a scheduled eligibility came due;
+///   - phase 5 polls only the terminal and handoff buffers on the
+///     ejection list (those holding a packet).
+/// All of it is exact — skipped work is provably a no-op — so the engine
+/// is bit-identical to the always-tick reference
+/// (EngineConfig::activityDriven = false), which the golden-digest and
+/// toggle-equivalence tests pin. Phases 1-3 always run: time-driven
+/// policy state (the GSF frame window) must advance even when every
+/// router is idle.
 ///
 /// EngineConfig::shards = N splits phase 4 across N threads while
 /// staying bit-identical to the serial engines. The fabric is
@@ -31,8 +39,8 @@
 /// each with a private worklist, and the cycle is restructured into:
 ///   - a serial prelude (phases 1-3, unchanged);
 ///   - one parallel dispatch per region: sweep and merge the region's
-///     worklist, run transfer completions over its active routers
-///     (mutations are router-local by construction), then run the
+///     worklist, drain the region's completion calendar (mutations are
+///     router-local by construction), then run the
 ///     *speculative* candidate scan (Router::tickScan) — a read-only
 ///     rebuild of each router's cached winner set that defers any
 ///     impure decision (an unstamped GSF admission) to the next phase;
@@ -153,11 +161,16 @@ class NetSim {
 
     void processFrameBoundary();
     void processAcks();
-    /// Phase 5: scan the per-node terminal buffers and deliver
-    /// tail-arrived packets. Subclasses extend it for extra ejection-side
-    /// buffers (the chip's row-to-column handoffs).
+    /// Phase 5: deliver every tail-arrived packet at a terminal buffer
+    /// and hand off every one at an aux buffer (terminals by node id,
+    /// then aux ports in creation order). Subclasses may extend it with
+    /// serial ejection-side work (the fabric's link arrivals).
     virtual void tickTerminals();
     void deliver(NetPacket *pkt, InputPort *port, int vcIdx);
+    /// A packet's tail arrived at aux buffer `port` (the chip's and the
+    /// fabric's row-to-column handoffs): move it on. Networks with aux
+    /// ports must override; the base has none.
+    virtual void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
 
     std::unique_ptr<Network> net_;
     std::unique_ptr<TrafficSource> source_;
@@ -180,11 +193,17 @@ class NetSim {
         std::vector<NodeId> active;  ///< sorted ids with work, in-range
     };
 
-    /// Fold newly-armed routers into the sorted active list (node order —
-    /// the same relative order the always-tick engine visits).
-    void mergeWorklist();
-    /// Drop routers whose work drained this cycle.
-    void sweepWorklist();
+    /// Drop routers whose work drained from a sorted active list (the
+    /// arms are folded in by mergeArms, in node order — the relative
+    /// order the always-tick engine visits).
+    void sweepIdle(std::vector<NodeId> &active);
+    /// Complete the transfers `cal` holds for this cycle.
+    void completeTransfers(CompletionCalendar &cal);
+    /// Phase 5 for one buffer: eject every tail-arrived packet.
+    void ejectFrom(InputPort *port, bool aux);
+    /// Checkpoint restore: rebuild the completion calendars and the
+    /// ejection list from the restored transfers and VCs.
+    void rebuildSchedules();
 
     /// The sharded cycle (see file comment); step() delegates here when
     /// configure() set shards > 1 and partitioned the fabric.
@@ -192,8 +211,6 @@ class NetSim {
     /// A region's parallel slice of the cycle: sweep + merge its
     /// worklist, completions, then the speculative scan.
     void regionPhase(Region &reg, TickContext &scanCtx);
-    void sweepRegion(Region &reg);
-    static void mergeRegion(Region &reg);
 
     std::vector<NodeId> active_; ///< sorted ids of routers with work
     std::vector<Region> regions_;

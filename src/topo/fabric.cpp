@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/assert.h"
+#include "common/strings.h"
 #include "qos/policy.h"
 
 namespace taqos {
@@ -190,29 +191,68 @@ FabricNetwork::sourceQueue(FlowId f)
     return q;
 }
 
+std::string
+FabricSpec::validate() const
+{
+    const auto bad = [](const std::string &why) {
+        return "bad fabric: " + why;
+    };
+    if (chips < 1)
+        return bad(strFormat("chips=%d, want >= 1", chips));
+    int side = 1;
+    while (side * side < chip.concentration)
+        ++side;
+    if (chip.concentration < 1 || side * side != chip.concentration) {
+        return bad(strFormat("concentration %d is not a square",
+                             chip.concentration));
+    }
+    if (chip.tilesX < 1 || chip.tilesY < 1 || chip.tilesX % side != 0 ||
+        chip.tilesY % side != 0) {
+        return bad(strFormat("tiles %dx%d, want positive multiples of %d "
+                             "(the concentration side)",
+                             chip.tilesX, chip.tilesY, side));
+    }
+    const int nodesX = chip.tilesX / side;
+    const int nodesY = chip.tilesY / side;
+    if (nodesY < 2) {
+        return bad(strFormat("%d node row(s), columns need >= 2 (tiles "
+                             ">= %d)",
+                             nodesY, 2 * side));
+    }
+    if (chip.sharedColumns.empty())
+        return bad("no shared column, want >= 1");
+    std::vector<int> cols = chip.sharedColumns;
+    std::sort(cols.begin(), cols.end());
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        if (cols[i] < 0 || cols[i] >= nodesX) {
+            return bad(strFormat("shared column %d outside the %d-column "
+                                 "grid (0..%d)",
+                                 cols[i], nodesX, nodesX - 1));
+        }
+        if (i > 0 && cols[i] == cols[i - 1])
+            return bad(strFormat("duplicate shared column %d", cols[i]));
+    }
+    if (nodesX <= static_cast<int>(cols.size())) {
+        return bad(strFormat("%zu shared column(s) leave no compute "
+                             "column in the %d-column grid",
+                             cols.size(), nodesX));
+    }
+    if (rowVcs < 1)
+        return bad(strFormat("rowVcs=%d, want >= 1", rowVcs));
+    if (linkDelay < 1 || linkWidthFlits < 1) {
+        return bad(strFormat("link delay %d / width %d, want both >= 1",
+                             linkDelay, linkWidthFlits));
+    }
+    return "";
+}
+
 std::unique_ptr<FabricNetwork>
 FabricNetwork::build(FabricSpec spec)
 {
-    TAQOS_ASSERT(spec.chips >= 1, "fabric needs at least one chip");
-    TAQOS_ASSERT(!spec.chip.sharedColumns.empty(),
-                 "fabric needs at least one shared column");
+    const std::string bad = spec.validate();
+    TAQOS_ASSERT(bad.empty(), "%s", bad.c_str());
     std::sort(spec.chip.sharedColumns.begin(),
               spec.chip.sharedColumns.end());
-    for (std::size_t i = 0; i < spec.chip.sharedColumns.size(); ++i) {
-        const int col = spec.chip.sharedColumns[i];
-        TAQOS_ASSERT(col >= 0 && col < spec.chip.nodesX(),
-                     "shared column %d outside the grid", col);
-        TAQOS_ASSERT(i == 0 || col > spec.chip.sharedColumns[i - 1],
-                     "duplicate shared column %d", col);
-    }
-    TAQOS_ASSERT(spec.chip.nodesX() >
-                     static_cast<int>(spec.chip.sharedColumns.size()),
-                 "fabric needs at least one compute column");
-    TAQOS_ASSERT(spec.chip.nodesY() >= 2,
-                 "columns need at least two nodes");
-    TAQOS_ASSERT(spec.rowVcs >= 1, "row links need at least one VC");
-    TAQOS_ASSERT(spec.linkDelay >= 1 && spec.linkWidthFlits >= 1,
-                 "inter-chip links need positive delay and width");
     spec.column.numNodes = spec.chip.nodesY();
 
     std::unique_ptr<FabricNetwork> net(new FabricNetwork(std::move(spec)));

@@ -100,6 +100,12 @@ struct FabricSpec {
         return static_cast<int>(chip.sharedColumns.size());
     }
     int blocks() const { return chips * blocksPerChip(); }
+
+    /// Diagnose a spec FabricNetwork::build cannot realize: empty when
+    /// the shape is valid, else one line naming the offending field
+    /// ("bad fabric: ..."). Reads only the shape fields (chips, chip
+    /// geometry, shared columns, row VCs, links), never asserts.
+    std::string validate() const;
 };
 
 class FabricNetwork : public Network {

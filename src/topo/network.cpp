@@ -123,6 +123,8 @@ Network::finalizeRouters()
         term->attachVcs();
     for (InputPort *port : auxPorts_)
         port->attachVcs();
+    for (int k = 0; k < numEjectionPorts(); ++k)
+        ejectionPort(k)->setEjectionList(&ejection_, k);
 
     packHotState();
 }

@@ -83,10 +83,26 @@ class Network {
     /// invariant checks.
     const std::vector<InputPort *> &auxPorts() const { return auxPorts_; }
 
-    /// Routers armed by activity events since the engine's last merge
-    /// (see noc/activity.h); the activity-driven NetSim consumes it once
-    /// per cycle.
+    /// Routers armed by activity events since the engine's last merge,
+    /// plus their transfers' completion calendar (see noc/activity.h);
+    /// the activity-driven NetSim consumes both once per cycle.
     ActivityWorklist &worklist() { return worklist_; }
+
+    /// Terminal and aux buffers holding a packet, by ejection ordinal
+    /// (see ejectionPort); the activity-driven NetSim polls only these.
+    EjectionList &ejection() { return ejection_; }
+    /// Ejection ordinal -> buffer: terminals by node id, then the aux
+    /// ports in creation order.
+    InputPort *ejectionPort(int ordinal)
+    {
+        return ordinal < numNodes()
+            ? termPort(ordinal)
+            : auxPorts_[static_cast<std::size_t>(ordinal - numNodes())];
+    }
+    int numEjectionPorts() const
+    {
+        return numNodes() + static_cast<int>(auxPorts_.size());
+    }
 
     /// Invalidate every router's cached arbitration state (frame flushes,
     /// GSF window advances: policy state changed behind the routers'
@@ -138,8 +154,9 @@ class Network {
 
     /// Call Router::finalize on every router, then wire the activity
     /// tracking: VC-to-port back-pointers (incremental occupancy),
-    /// injector-to-port back-pointers (enqueue arming), and the shared
-    /// worklist every router initially arms onto. Builders must call this
+    /// injector-to-port back-pointers (enqueue arming), the shared
+    /// worklist every router initially arms onto, and the ejection list
+    /// the terminal and aux buffers arm onto. Builders must call this
     /// once, after the full port structure exists. Under the default
     /// HotLayout::Arena it then packs the per-router hot state (see
     /// packHotState).
@@ -167,6 +184,7 @@ class Network {
     std::vector<int> termOutIdx_;
     std::vector<InputPort *> auxPorts_;
     ActivityWorklist worklist_;
+    EjectionList ejection_;
 
   private:
     /// Move the cycle-hot state out of the object graph into contiguous

@@ -1,5 +1,7 @@
 #include "topo/topology.h"
 
+#include <utility>
+
 #include "common/assert.h"
 #include "common/strings.h"
 
@@ -19,6 +21,17 @@ topologyName(TopologyKind kind)
     return "?";
 }
 
+namespace {
+
+/// Accepted spellings beyond the canonical topologyName()s.
+constexpr std::pair<const char *, TopologyKind> kTopologyAliases[] = {
+    {"mesh", TopologyKind::MeshX1},
+    {"flattened_butterfly", TopologyKind::FlatButterfly},
+    {"fbf", TopologyKind::FlatButterfly},
+};
+
+} // namespace
+
 std::optional<TopologyKind>
 parseTopology(const std::string &name)
 {
@@ -27,11 +40,25 @@ parseTopology(const std::string &name)
         if (n == topologyName(kind))
             return kind;
     }
-    if (n == "mesh")
-        return TopologyKind::MeshX1;
-    if (n == "fbfly" || n == "flattened_butterfly" || n == "fbf")
+    if (n == topologyName(TopologyKind::FlatButterfly))
         return TopologyKind::FlatButterfly;
+    for (const auto &[alias, kind] : kTopologyAliases) {
+        if (n == alias)
+            return kind;
+    }
     return std::nullopt;
+}
+
+std::string
+topologyNames()
+{
+    std::string out;
+    for (auto kind : kAllTopologies)
+        out += std::string(topologyName(kind)) + " ";
+    out += topologyName(TopologyKind::FlatButterfly);
+    for (const auto &alias : kTopologyAliases)
+        out += std::string(" ") + alias.first;
+    return out;
 }
 
 int

@@ -33,6 +33,9 @@ inline constexpr TopologyKind kAllTopologies[] = {
 
 const char *topologyName(TopologyKind kind);
 std::optional<TopologyKind> parseTopology(const std::string &name);
+/// Every name parseTopology accepts — the evaluated five, the fbfly
+/// extension and the aliases — for unknown-topology diagnostics.
+std::string topologyNames();
 
 /// Channel replication degree (mesh xN); 1 for MECS/DPS.
 int replicationOf(TopologyKind kind);

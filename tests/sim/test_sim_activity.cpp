@@ -1,17 +1,24 @@
 /// The activity-driven engine: bit-identity with the always-tick
 /// reference across every QOS policy (toggle equivalence), on the
-/// preemption-heavy adversarial workload, and on the whole-chip
-/// simulator; the GSF frame-boundary/worklist interaction (a gated flow
-/// must be re-admitted across quiet periods — the engine may never skip
-/// the gate's per-cycle rollover, however idle the routers are); and the
-/// consistency of the incrementally-maintained activity state.
+/// preemption-heavy adversarial workload, on the whole-chip simulator,
+/// and on bursty two-chip fabrics (whose handoff buffers and links ride
+/// the ejection list), including a restore taken mid-transfer; the event
+/// schedules' invariants at every cycle boundary; the GSF
+/// frame-boundary/worklist interaction (a gated flow must be re-admitted
+/// across quiet periods — the engine may never skip the gate's per-cycle
+/// rollover, however idle the routers are); and the consistency of the
+/// incrementally-maintained activity state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/experiments.h"
 #include "sim/chip_sim.h"
 #include "sim/column_sim.h"
+#include "sim/fabric_sim.h"
 #include "traffic/workloads.h"
 
 namespace taqos {
@@ -140,6 +147,162 @@ TEST(ToggleEquivalence, WholeChipSimulationMatches)
     EXPECT_EQ(handoffs[0], handoffs[1]);
     EXPECT_EQ(digests[0], digests[1]);
 }
+
+// ---------------------------------------------- fabric toggle oracle
+
+struct FabricToggleCase {
+    LinkTopology links;
+    QosMode mode;
+};
+
+class ToggleEquivalenceFabric
+    : public ::testing::TestWithParam<FabricToggleCase> {};
+
+/// Run outcome the fabric oracle compares across engines.
+struct FabricRun {
+    std::uint64_t digest = 0;
+    std::uint64_t handoffs = 0;
+    std::uint64_t linkHops = 0;
+    Cycle done = kNoCycle;
+};
+
+constexpr Cycle kFabricGenUntil = 5000;
+
+std::unique_ptr<FabricSim>
+makeBurstyFabric(const FabricToggleCase &fc, bool activity)
+{
+    FabricSpec spec;
+    spec.chips = 2;
+    spec.links = fc.links;
+    spec.column = paperColumn(TopologyKind::Dps, fc.mode);
+    spec.column.pvc.frameLen = 2000;
+    TrafficConfig t;
+    t.pattern = TrafficPattern::UniformRandom;
+    t.injectionRate = 0.06;
+    t.genUntil = kFabricGenUntil;
+    WorkloadSpec bursty;
+    bursty.kind = WorkloadKind::Bursty;
+    auto sim = std::make_unique<FabricSim>(spec, t, bursty);
+    sim->configure({.activityDriven = activity});
+    sim->setMeasureWindow(1000, kFabricGenUntil);
+    return sim;
+}
+
+FabricRun
+finishFabric(FabricSim &sim)
+{
+    FabricRun run;
+    run.done = sim.runUntilDrained(200000, kFabricGenUntil);
+    run.digest = runDigest(sim);
+    run.handoffs = sim.handoffs();
+    run.linkHops = sim.linkHops();
+    return run;
+}
+
+void
+expectSameRun(const FabricRun &a, const FabricRun &b, const char *what)
+{
+    EXPECT_EQ(a.digest, b.digest) << what;
+    EXPECT_EQ(a.handoffs, b.handoffs) << what;
+    EXPECT_EQ(a.linkHops, b.linkHops) << what;
+    EXPECT_EQ(a.done, b.done) << what;
+}
+
+/// Some transfer is streaming and some handoff buffer holds a packet.
+bool
+midTransferWithHandoffs(const FabricSim &sim)
+{
+    bool streaming = false;
+    for (NodeId n = 0; n < sim.net().numNodes() && !streaming; ++n) {
+        for (const auto &out : sim.net().router(n)->outputs())
+            streaming = streaming || out->transfer().active;
+    }
+    bool handoffs = false;
+    for (const InputPort *port : sim.net().auxPorts())
+        handoffs = handoffs || port->occupied() > 0;
+    return streaming && handoffs;
+}
+
+TEST_P(ToggleEquivalenceFabric, BurstyTwoChipEnginesAndRestoreMatch)
+{
+    const FabricToggleCase &fc = GetParam();
+    FabricRun runs[2];
+    for (int activity = 0; activity < 2; ++activity) {
+        auto sim = makeBurstyFabric(fc, activity == 1);
+        runs[activity] = finishFabric(*sim);
+        ASSERT_NE(runs[activity].done, kNoCycle);
+        expectQuiescent(*sim);
+    }
+    EXPECT_GT(runs[0].handoffs, 0u);
+    EXPECT_GT(runs[0].linkHops, 0u);
+    expectSameRun(runs[0], runs[1], "activity vs always-tick");
+
+    // Checkpoint the activity-driven run mid-transfer, with packets
+    // sitting in handoff buffers: the restored run rebuilds the
+    // completion calendar and the ejection list from the snapshot and
+    // must finish exactly like the oracle.
+    auto ref = makeBurstyFabric(fc, true);
+    ref->run(2500);
+    while (!midTransferWithHandoffs(*ref) && ref->now() < kFabricGenUntil)
+        ref->step();
+    ASSERT_TRUE(midTransferWithHandoffs(*ref));
+    std::ostringstream os;
+    ref->saveCheckpoint(os);
+
+    auto restored = makeBurstyFabric(fc, true);
+    std::istringstream is(os.str());
+    std::string err;
+    ASSERT_TRUE(restored->restoreCheckpoint(is, &err)) << err;
+    restored->checkInvariants();
+    const FabricRun resumed = finishFabric(*restored);
+    expectQuiescent(*restored);
+    expectSameRun(runs[0], resumed, "restored vs always-tick");
+}
+
+TEST(ActivitySchedules, HoldAtEveryCycleBoundary)
+{
+    // The event schedules' invariants (checkInvariants): every in-flight
+    // transfer is on the completion calendar at its tail departure,
+    // every buffer holding a packet is on the ejection list, and every
+    // output's wake covers its not-yet-eligible slots. Checked at every
+    // cycle boundary of a bursty fabric run and a preemption-heavy
+    // column run, so a missed filing, arm or wake fails on the cycle it
+    // happens rather than as a later digest drift.
+    auto fabric = makeBurstyFabric(
+        FabricToggleCase{LinkTopology::Ring, QosMode::Pvc}, true);
+    ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::Pvc);
+    ColumnSim column(col, makeWorkload1(col));
+    for (Cycle c = 0; c < 3000; ++c) {
+        fabric->step();
+        fabric->checkInvariants();
+    }
+    EXPECT_GT(fabric->handoffs(), 0u);
+    for (Cycle c = 0; c < 20000; ++c) {
+        column.step();
+        column.checkInvariants();
+    }
+    EXPECT_GT(column.metrics().preemptionEvents, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LinksAndPolicies, ToggleEquivalenceFabric,
+    ::testing::Values(FabricToggleCase{LinkTopology::PointToPoint,
+                                       QosMode::Pvc},
+                      FabricToggleCase{LinkTopology::PointToPoint,
+                                       QosMode::Gsf},
+                      FabricToggleCase{LinkTopology::PointToPoint,
+                                       QosMode::Wrr},
+                      FabricToggleCase{LinkTopology::Ring, QosMode::Pvc},
+                      FabricToggleCase{LinkTopology::Ring, QosMode::Gsf},
+                      FabricToggleCase{LinkTopology::Ring, QosMode::Wrr}),
+    [](const ::testing::TestParamInfo<FabricToggleCase> &info) {
+        std::string n = std::string(linkTopologyName(info.param.links)) +
+                        "_" + qosModeName(info.param.mode);
+        for (char &c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });
 
 // ------------------------------- GSF gate vs the idle-engine worklist
 

@@ -175,6 +175,43 @@ TEST(FabricBuild, FrameLenScalesWithTheBlockCount)
     EXPECT_EQ(flat->pvcParams().frameLen, 1000u);
 }
 
+TEST(FabricSpecValidate, AcceptsBuildableShapesAndNamesTheBadField)
+{
+    EXPECT_EQ(FabricSpec{}.validate(), "");
+    EXPECT_EQ(wideSpec(4).validate(), "");
+
+    const auto diagnosis = [](auto mutate) {
+        FabricSpec spec = wideSpec(2);
+        mutate(spec);
+        return spec.validate();
+    };
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chips = 0; }),
+              "bad fabric: chips=0, want >= 1");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.tilesX = 0; }),
+              "bad fabric: tiles 0x32, want positive multiples of 2 (the "
+              "concentration side)");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.tilesY = 3; }),
+              "bad fabric: tiles 32x3, want positive multiples of 2 (the "
+              "concentration side)");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.tilesY = 2; }),
+              "bad fabric: 1 node row(s), columns need >= 2 (tiles >= 4)");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.sharedColumns = {}; }),
+              "bad fabric: no shared column, want >= 1");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.sharedColumns = {40}; }),
+              "bad fabric: shared column 40 outside the 16-column grid "
+              "(0..15)");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.chip.sharedColumns = {0, 0}; }),
+              "bad fabric: duplicate shared column 0");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) {
+                  s.chip.tilesX = 4;
+                  s.chip.sharedColumns = {0, 1};
+              }),
+              "bad fabric: 2 shared column(s) leave no compute column in "
+              "the 2-column grid");
+    EXPECT_EQ(diagnosis([](FabricSpec &s) { s.linkWidthFlits = 0; }),
+              "bad fabric: link delay 8 / width 0, want both >= 1");
+}
+
 TEST(FabricLinks, TopologyNamesRoundTrip)
 {
     for (LinkTopology k : {LinkTopology::PointToPoint, LinkTopology::Ring})

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "topo/topology.h"
 
 namespace taqos {
@@ -20,6 +21,21 @@ TEST(Topology, ParseAliasesAndCase)
     EXPECT_EQ(parseTopology(" dps "), TopologyKind::Dps);
     EXPECT_EQ(parseTopology("mesh"), TopologyKind::MeshX1);
     EXPECT_FALSE(parseTopology("torus").has_value());
+}
+
+TEST(Topology, DiagnosticListsEveryAcceptedName)
+{
+    // The unknown-topology hint names exactly what parses: the evaluated
+    // five, the fbfly extension, and the aliases.
+    const std::string names = topologyNames();
+    int listed = 0;
+    for (const auto &name : strSplit(names, ' ')) {
+        EXPECT_TRUE(parseTopology(name).has_value()) << name;
+        ++listed;
+    }
+    EXPECT_EQ(listed, 9);
+    EXPECT_EQ(parseTopology("fbfly"), TopologyKind::FlatButterfly);
+    EXPECT_NE(names.find("fbfly"), std::string::npos);
 }
 
 TEST(Topology, Table1VcProvisioning)
