@@ -26,8 +26,9 @@
 ///   seed=S warmup=C measure=C drain=C
 ///   fast=1               short phases for smokes
 ///
-/// A malformed geometry (chips, tiles, columns) or an out-of-range rate
-/// prints one diagnosed line and exits 1 before any work starts.
+/// A malformed geometry (chips, tiles, columns), an out-of-range rate or
+/// a bad phase (negative, or measure=0) prints one diagnosed line and
+/// exits 1 before any work starts.
 ///
 /// Examples:
 ///   fabric_cli fast=1
@@ -118,6 +119,8 @@ main(int argc, char **argv)
         static_cast<Cycle>(opts.getInt("drain",
                                        static_cast<std::int64_t>(
                                            cfg.phases.drain)));
+    if (const std::string bad = cfg.phases.validate(); !bad.empty())
+        optionError("bad fabric run: " + bad);
 
     std::printf("=== fabric: %d chip(s) x %dx%d tiles, %zu shared "
                 "column(s), %s links, %s/%s ===\n",

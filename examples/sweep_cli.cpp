@@ -20,8 +20,9 @@
 ///   trace=FILE inflate=F window=b:e loop=1   trace-replay shorthand
 ///   burst=on,off,gain | burst=1              ON/OFF bursty shorthand
 ///   churn=frames[,maxvms[,attack]] | churn=1 tenant-churn shorthand
-///   reps=N seed=S mix=0|1
+///   reps=N seed=S mix=0|1     (reps >= 1)
 ///   warmup=C measure=C drain=C gencycles=C
+///                        cycle counts in [0, 2^40], measure >= 1
 ///   threads=N            (0 = hardware concurrency)
 ///   shards=N             intra-run shard threads per cell (default 1;
 ///                        bit-identical output — the runner divides the
@@ -157,6 +158,8 @@ main(int argc, char **argv)
     }
 
     spec.shards = static_cast<int>(opts.getInt("shards", 1));
+    if (const std::string bad = spec.validate(); !bad.empty())
+        optionError(bad);
 
     const int threads = static_cast<int>(opts.getInt("threads", 0));
     const SweepRunner runner(threads);

@@ -535,9 +535,27 @@ CellResult::has(const std::string &name) const
     return false;
 }
 
+std::string
+SweepSpec::validate() const
+{
+    const auto bad = [](const std::string &why) {
+        return "bad sweep: " + why;
+    };
+    if (replicates < 1)
+        return bad(strFormat("reps=%d, want >= 1", replicates));
+    if (std::string why = phases.validate(); !why.empty())
+        return bad(why);
+    if (std::string why = cycleCountProblem("gencycles", genCycles);
+        !why.empty())
+        return bad(why);
+    return "";
+}
+
 SweepSpec
 SweepSpec::canonical() const
 {
+    const std::string bad = validate();
+    TAQOS_ASSERT(bad.empty(), "%s", bad.c_str());
     SweepSpec c = *this;
     if (c.topologies.empty())
         c.topologies.assign(std::begin(kAllTopologies),
@@ -546,8 +564,6 @@ SweepSpec::canonical() const
         c.modes = {QosMode::Pvc};
     if (c.rates.empty())
         c.rates = {0.05};
-    if (c.replicates < 1)
-        c.replicates = 1;
     if (c.shards < 1)
         c.shards = 1;
 

@@ -132,7 +132,13 @@ struct SweepSpec {
     /// Intra-run shard threads, copied to every cell (see CellSpec).
     int shards = 1;
 
-    /// Copy with defaults filled in and unused axes collapsed.
+    /// "" when the spec can run, else one "bad sweep: ..." line naming
+    /// the bad field (replicates >= 1, runnable phases, a generation
+    /// horizon in [0, 2^40] cycles). The CLIs print it and exit 1.
+    std::string validate() const;
+
+    /// Copy with defaults filled in and unused axes collapsed. The spec
+    /// must validate.
     SweepSpec canonical() const;
 
     /// Flatten the (canonical) grid; cell order is deterministic:

@@ -48,9 +48,7 @@ Router::arm()
 void
 Router::markArbDirty()
 {
-    for (auto &d : outDirty_)
-        d = 1;
-    anyOutDirty_ = true;
+    dirtyOuts_.fill();
     // Frame flushes rewrite state the preemption victim search reads
     // (flow tables, carried priorities): spoil its memo too.
     ++mutEpoch_;
@@ -286,7 +284,9 @@ Router::finalize()
         }
     }
     slots_.assign(outputs_.size(), {});
-    outDirty_.assign(outputs_.size(), 1);
+    dirtyOuts_.resize(outputs_.size());
+    dirtyOuts_.fill();
+    winnerOuts_.resize(outputs_.size());
     outWake_.assign(outputs_.size(), 0);
     preemptMemo_.assign(outputs_.size(), {});
     tableOuts_.assign(static_cast<std::size_t>(numTables), {});
@@ -407,6 +407,7 @@ Router::collectOutput(int outPort, TickContext &ctx)
 {
     Candidate &best = best_[static_cast<std::size_t>(outPort)];
     best.pkt = nullptr;
+    winnerOuts_.reset(static_cast<std::size_t>(outPort));
 
     // Earliest purely time-driven change to this output's candidate set.
     // Event-driven changes (frees, enqueues, table charges, window/gate
@@ -476,6 +477,8 @@ Router::collectOutput(int outPort, TickContext &ctx)
     }
 
     outWake_[static_cast<std::size_t>(outPort)] = wake;
+    if (best.pkt != nullptr)
+        winnerOuts_.set(static_cast<std::size_t>(outPort));
     return true;
 }
 
@@ -825,71 +828,57 @@ Router::tickArbitrate(TickContext &ctx)
     // cycle regardless, so time-driven grant conditions (link free,
     // credit visibility, crossbar slots, preemption wait thresholds) are
     // evaluated on exactly the cycles the always-tick engine would.
-    if (anyOutDirty_ || ctx.now >= minWake_) {
-        Cycle minWake = kNoCycle;
-        int winners = 0;
-        for (std::size_t o = 0; o < outputs_.size(); ++o) {
-            if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-                collectOutput(static_cast<int>(o), ctx);
-                outDirty_[o] = 0;
-            }
-            if (outWake_[o] < minWake)
-                minWake = outWake_[o];
-            if (best_[o].pkt != nullptr)
-                ++winners;
-        }
-        anyOutDirty_ = false;
-        minWake_ = minWake;
-        winners_ = winners;
-    }
-    if (winners_ == 0)
-        return;
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (best_[o].pkt != nullptr)
-            tryGrant(best_[o], ctx);
-    }
+    scanOutputs(ctx);
+    winnerOuts_.forEach([&](std::size_t o) { tryGrant(best_[o], ctx); });
 }
 
 void
 Router::tickScan(TickContext &ctx)
 {
     TAQOS_ASSERT(ctx.speculative, "tickScan is the speculative scan phase");
-    if (!(anyOutDirty_ || ctx.now >= minWake_))
+    // The scan's inputs are all router-local (own slot lists, own input
+    // VCs and injector queues, packet fields no concurrent phase
+    // writes), so regions can run it concurrently; a grant-phase event
+    // at another router that could change a result re-dirties the
+    // affected output through the hooks, re-scanning it serially at this
+    // router's turn — exactly when the serial engine would have scanned
+    // it.
+    scanOutputs(ctx);
+}
+
+void
+Router::scanOutputs(TickContext &ctx)
+{
+    Cycle minWake = minWake_;
+    if (ctx.now >= minWake_) {
+        // Wake pass: outputs come due are rescanned like dirty ones; the
+        // rest bound the next pass exactly.
+        minWake = kNoCycle;
+        for (std::size_t o = 0; o < outputs_.size(); ++o) {
+            if (ctx.now >= outWake_[o])
+                dirtyOuts_.set(o);
+            else if (!dirtyOuts_.test(o) && outWake_[o] < minWake)
+                minWake = outWake_[o];
+        }
+    } else if (!dirtyOuts_.any()) {
         return;
-    // Same per-output rescan condition and summary recomputation as
-    // tickArbitrate's scan block. The scan's inputs are all router-local
-    // (own slot lists, own input VCs and injector queues, packet fields
-    // no concurrent phase writes), so regions can run it concurrently; a
-    // grant-phase event at another router that could change a result
-    // re-dirties the affected output through the hooks, re-scanning it
-    // serially at this router's turn — exactly when the serial engine
-    // would have scanned it.
-    Cycle minWake = kNoCycle;
-    int winners = 0;
-    bool aborted = false;
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-            if (collectOutput(static_cast<int>(o), ctx)) {
-                outDirty_[o] = 0;
-            } else {
-                // Impure gate admission: the serial grant phase must
-                // redo this output with the real admit call. Force its
-                // rescan by keeping the dirty flag; the cleared best
-                // keeps the stale winner from being granted if the
-                // rescan finds the packet inadmissible.
-                outDirty_[o] = 1;
-                outWake_[o] = kNoCycle;
-                aborted = true;
-            }
+    }
+    // Ascending output order keeps every scan side effect (GSF
+    // admissions) in the always-tick engine's sequence.
+    dirtyOuts_.drain([&](std::size_t o) {
+        if (!collectOutput(static_cast<int>(o), ctx)) {
+            // Impure gate admission: the serial grant phase must redo
+            // this output with the real admit call. Force its rescan by
+            // keeping it dirty; the cleared best keeps the stale winner
+            // from being granted if the rescan finds the packet
+            // inadmissible.
+            dirtyOuts_.set(o);
+            outWake_[o] = kNoCycle;
         }
         if (outWake_[o] < minWake)
             minWake = outWake_[o];
-        if (best_[o].pkt != nullptr)
-            ++winners;
-    }
-    anyOutDirty_ = aborted;
+    });
     minWake_ = minWake;
-    winners_ = winners;
 }
 
 void
@@ -946,12 +935,11 @@ Router::rebuildFromRestore()
     // the always-tick cross-check proves bit-identical.
     for (auto &b : best_)
         b = Candidate{};
-    std::fill(outDirty_.begin(), outDirty_.end(), 1);
+    dirtyOuts_.fill();
+    winnerOuts_.clear();
     std::fill(outWake_.begin(), outWake_.end(), 0);
     preemptMemo_.assign(outputs_.size(), {});
-    anyOutDirty_ = true;
     minWake_ = 0;
-    winners_ = 0;
     mutEpoch_ = 0;
     inWorklist_ = false; // the engine repopulates its pending lists
 }
@@ -979,12 +967,16 @@ void
 Router::checkWakes(Cycle now) const
 {
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        TAQOS_ASSERT(anyOutDirty_ || minWake_ <= outWake_[o],
+        TAQOS_ASSERT(minWake_ <= outWake_[o],
                      "router %d: summary wake %llu later than output "
                      "%zu's %llu",
                      node_, static_cast<unsigned long long>(minWake_), o,
                      static_cast<unsigned long long>(outWake_[o]));
-        if (outDirty_[o] != 0)
+        TAQOS_ASSERT(winnerOuts_.test(o) == (best_[o].pkt != nullptr),
+                     "router %d output %zu: winner bit %d but best %s",
+                     node_, o, winnerOuts_.test(o) ? 1 : 0,
+                     best_[o].pkt != nullptr ? "holds a packet" : "is empty");
+        if (dirtyOuts_.test(o))
             continue;
         for (const ArbSlot &slot : slots_[o]) {
             // A head stalled on its retransmission window waits for the

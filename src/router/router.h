@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bitset.h"
 #include "common/types.h"
 #include "noc/activity.h"
 #include "noc/metrics.h"
@@ -225,8 +226,9 @@ class Router {
 
     /// Activity-state self-check at the cycle boundary before `now`:
     /// every clean output holding a slot that is not yet eligible has a
-    /// wake at or before that slot's eligibility, and the router-level
-    /// summary wake is no later than any output's.
+    /// wake at or before that slot's eligibility, the router-level
+    /// summary wake is no later than any output's, and an output's
+    /// winner bit is set exactly when its cached best holds a packet.
     void checkWakes(Cycle now) const;
 
     // Hooks from the port layer (see ports.h). Work-creating events arm
@@ -283,6 +285,10 @@ class Router {
     /// Returns false when a speculative scan had to abort on an impure
     /// gate admission (the output must stay dirty; best is cleared).
     bool collectOutput(int outPort, TickContext &ctx);
+    /// Rescan, in ascending order, every dirty output and (once
+    /// minWake_ has come due) every output whose wake has; shared by
+    /// tickArbitrate and tickScan.
+    void scanOutputs(TickContext &ctx);
 
     void addVcSlot(InputPort *in, int vcIdx);
     void updateInjectorSlot(InjectorQueue &inj);
@@ -296,8 +302,7 @@ class Router {
     void removeInjectorSlot(int outPort, const InjectorQueue *inj);
     void dirtyOutput(int outPort)
     {
-        outDirty_[static_cast<std::size_t>(outPort)] = 1;
-        anyOutDirty_ = true;
+        dirtyOuts_.set(static_cast<std::size_t>(outPort));
         ++mutEpoch_;
     }
     void wakeOutput(int outPort, Cycle at)
@@ -348,18 +353,20 @@ class Router {
     /// cycle a currently-ineligible slot matures by time alone (kNoCycle
     /// = none pending); it starts at 0 so the first tick scans.
     std::vector<ArenaVec<ArbSlot>> slots_;
-    std::vector<std::uint8_t> outDirty_;
     std::vector<Cycle> outWake_;
     /// tableIdx -> outputs charging it (replicated channels share).
     std::vector<std::vector<int>> tableOuts_;
 
-    /// Router-level summaries for the per-cycle fast path: OR of
-    /// outDirty_, min of outWake_, and the number of outputs holding a
-    /// cached winner — when all three say "nothing to do", tickArbitrate
-    /// is a provable no-op and returns immediately.
-    bool anyOutDirty_ = true;
+    /// Outputs an event invalidated since their last scan (set by
+    /// dirtyOutput and markArbDirty, cleared by the scan).
+    Bitset dirtyOuts_;
+    /// Outputs whose best_ holds a cached winner; written only by
+    /// collectOutput and restore. The grant loop visits just these.
+    /// (The always-tick path rescans everything and reads neither set.)
+    Bitset winnerOuts_;
+    /// Lower bound on every outWake_ entry: before it no output can come
+    /// due, so a tick with no dirty output skips the wake pass.
     Cycle minWake_ = 0;
-    int winners_ = 0;
 
     /// Mutation epoch: bumped by every state change the preemption victim
     /// search can observe on this router's side (slot changes, table

@@ -1,8 +1,9 @@
 /// The activity-driven engine: bit-identity with the always-tick
 /// reference across every QOS policy (toggle equivalence), on the
 /// preemption-heavy adversarial workload, on the whole-chip simulator,
-/// and on bursty two-chip fabrics (whose handoff buffers and links ride
-/// the ejection list), including a restore taken mid-transfer; the event
+/// on bursty two-chip fabrics (whose handoff buffers and links ride the
+/// ejection list), including a restore taken mid-transfer, and on a
+/// 72-node DPS column whose routers have more than 64 outputs; the event
 /// schedules' invariants at every cycle boundary; the GSF
 /// frame-boundary/worklist interaction (a gated flow must be re-admitted
 /// across quiet periods — the engine may never skip the gate's per-cycle
@@ -10,6 +11,7 @@
 /// incrementally-maintained activity state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -298,6 +300,89 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FabricToggleCase> &info) {
         std::string n = std::string(linkTopologyName(info.param.links)) +
                         "_" + qosModeName(info.param.mode);
+        for (char &c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });
+
+// ------------------------------------ routers wider than 64 outputs
+
+/// A 72-node DPS column gives every router one crossbar output per
+/// destination subnet, so its per-output dirty and winner sets span two
+/// 64-bit words. The always-tick engine, the activity-driven one, four
+/// shards and a restore from a mid-run checkpoint must all agree.
+class WideDpsColumn : public ::testing::TestWithParam<QosMode> {};
+
+constexpr int kWideNodes = 72;
+constexpr Cycle kWideGenUntil = 2000;
+
+std::unique_ptr<ColumnSim>
+makeWideColumn(QosMode mode, const EngineConfig &engine)
+{
+    ColumnConfig col = paperColumn(TopologyKind::Dps, mode);
+    col.numNodes = kWideNodes;
+    TrafficConfig t;
+    t.pattern = TrafficPattern::UniformRandom;
+    t.injectionRate = 0.02;
+    t.genUntil = kWideGenUntil;
+    auto sim = std::make_unique<ColumnSim>(col, t);
+    sim->configure(engine);
+    sim->setMeasureWindow(500, kWideGenUntil);
+    return sim;
+}
+
+/// Drain `sim` and return its digest (0 if it never drains).
+std::uint64_t
+drainWide(ColumnSim &sim)
+{
+    const Cycle done = sim.runUntilDrained(100000, kWideGenUntil);
+    EXPECT_NE(done, kNoCycle);
+    expectQuiescent(sim);
+    return done == kNoCycle ? 0 : runDigest(sim);
+}
+
+TEST_P(WideDpsColumn, EnginesShardsAndRestoreMatch)
+{
+    const QosMode mode = GetParam();
+    auto oracle = makeWideColumn(mode, {.activityDriven = false});
+    std::size_t widest = 0;
+    for (NodeId n = 0; n < oracle->net().numNodes(); ++n)
+        widest = std::max(widest, oracle->net().router(n)->outputs().size());
+    EXPECT_GT(widest, 64u);
+    const std::uint64_t want = drainWide(*oracle);
+    EXPECT_GT(oracle->metrics().deliveredPackets, 1000u);
+
+    // Activity-driven, with the wake and winner-bit invariants checked
+    // at every cycle boundary while traffic is being generated.
+    auto activity = makeWideColumn(mode, {});
+    for (Cycle c = 0; c < kWideGenUntil; ++c) {
+        activity->step();
+        activity->checkInvariants();
+    }
+    EXPECT_EQ(drainWide(*activity), want) << "activity-driven";
+
+    auto sharded =
+        makeWideColumn(mode, {.shards = 4, .shardMinActive = 0});
+    EXPECT_EQ(drainWide(*sharded), want) << "shards=4";
+
+    auto ref = makeWideColumn(mode, {});
+    ref->run(kWideGenUntil / 2);
+    std::ostringstream os;
+    ref->saveCheckpoint(os);
+    auto restored = makeWideColumn(mode, {});
+    std::istringstream is(os.str());
+    std::string err;
+    ASSERT_TRUE(restored->restoreCheckpoint(is, &err)) << err;
+    restored->checkInvariants();
+    EXPECT_EQ(drainWide(*restored), want) << "restored mid-run";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PvcGsfNoQos, WideDpsColumn,
+    ::testing::Values(QosMode::Pvc, QosMode::Gsf, QosMode::NoQos),
+    [](const ::testing::TestParamInfo<QosMode> &info) {
+        std::string n = qosModeName(info.param);
         for (char &c : n)
             if (c == '-')
                 c = '_';
