@@ -2,9 +2,9 @@
 /// DPS/PVC latency cell under each workload shape — steady (the
 /// modulator-free fast path), ON/OFF bursty, diurnal ramp — plus the
 /// tenant-churn consolidation cell, and cross-checks on every row that
-/// the shards=4 run of the same cell reproduces the serial metrics
-/// exactly (the sharding contract extended to modulated generation and
-/// mid-run flow-register reprogramming).
+/// each repetition of the cell reproduces the first one's metrics
+/// exactly (determinism under modulated generation and mid-run
+/// flow-register reprogramming).
 ///
 /// Writes `BENCH_workload.json` (same schema as BENCH_micro.json) with
 /// rows
@@ -12,7 +12,7 @@
 ///                         column-cell cycles per wall second
 ///   workload_churn        chip-churn-cell cycles per wall second
 /// CI gates the absolute rates against bench/baseline.json; the binary
-/// itself exits 1 when any sharded row diverges from its serial twin.
+/// itself exits 1 when any repetition diverges from the first.
 ///
 /// Options: fast=1 (short runs), reps=N (default 5, fast 3),
 ///          json=<path> (default BENCH_workload.json)
@@ -44,8 +44,8 @@ struct Row {
     std::string name;
     double cycles = 0.0;
     double wallSec = 0.0;
-    bool identical = false;
-    CellResult serial;
+    bool identical = true;
+    CellResult first;
 };
 
 CellSpec
@@ -62,8 +62,8 @@ columnCell(const WorkloadSpec &w, const RunPhases &phases)
     return cell;
 }
 
-/// Time the cell's serial run (best of `reps`) and require the shards=4
-/// run to report identical metrics — value-exact, not approximate.
+/// Time the cell (best of `reps`) and require every repetition to
+/// report the first one's metrics — value-exact, not approximate.
 Row
 timeCell(const std::string &name, const CellSpec &cell, double cycles,
          int reps)
@@ -73,14 +73,14 @@ timeCell(const std::string &name, const CellSpec &cell, double cycles,
     row.cycles = cycles;
     for (int r = 0; r < reps; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
-        row.serial = SweepRunner::runCell(cell);
+        CellResult res = SweepRunner::runCell(cell);
         const double sec = secondsSince(t0);
         row.wallSec = r == 0 ? sec : std::min(row.wallSec, sec);
+        if (r == 0)
+            row.first = std::move(res);
+        else if (res.metrics != row.first.metrics)
+            row.identical = false;
     }
-    CellSpec sharded = cell;
-    sharded.shards = 4;
-    const CellResult other = SweepRunner::runCell(sharded);
-    row.identical = row.serial.metrics == other.metrics;
     return row;
 }
 
@@ -137,7 +137,7 @@ main(int argc, char **argv)
     rows.push_back(timeCell("workload_churn", churnCell,
                             static_cast<double>(churnCell.phases.total()),
                             fast ? 1 : reps));
-    if (rows.back().serial.get("churn_epochs") < 1.0) {
+    if (rows.back().first.get("churn_epochs") < 1.0) {
         std::fprintf(stderr,
                      "workload_churn: no churn epoch fired (run too "
                      "short for the QOS frame)\n");
@@ -145,7 +145,7 @@ main(int argc, char **argv)
     }
 
     TextTable t;
-    t.setHeader({"row", "cyc/s", "vs steady", "shards=4 identical"});
+    t.setHeader({"row", "cyc/s", "vs steady", "reps identical"});
     const double steadyRate = rows[0].cycles / rows[0].wallSec;
     for (const auto &row : rows) {
         const double rate = row.cycles / row.wallSec;
@@ -179,12 +179,13 @@ main(int argc, char **argv)
     }
     std::printf("wrote %s\n", json.c_str());
 
-    // Serial == sharded is the contract for every workload shape; a
+    // Determinism is the contract for every workload shape; a
     // divergence is a failure, not a footnote.
     for (const auto &row : rows) {
         if (!row.identical) {
             std::fprintf(stderr,
-                         "%s: shards=4 metrics diverged from serial\n",
+                         "%s: a repetition's metrics diverged from the "
+                         "first\n",
                          row.name.c_str());
             return 1;
         }

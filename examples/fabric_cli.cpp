@@ -18,22 +18,19 @@
 ///   workload=SPEC        dynamic workload (steady | bursty:... |
 ///                        ramp:...; burst=on,off,gain shorthand works
 ///                        too — trace/churn have no fabric embedding)
-///   shards=1             engine shard threads (bit-identical)
-///   crosscheck=N         also run with N shards and require the metrics
-///                        digest to match the first run (exit 1 if not)
 ///   verify=1             record the flit trace and run the independent
 ///                        checker's audit on it (exit 1 on violations)
 ///   seed=S warmup=C measure=C drain=C
 ///   fast=1               short phases for smokes
 ///
-/// A malformed geometry (chips, tiles, columns), an out-of-range rate or
-/// a bad phase (negative, or measure=0) prints one diagnosed line and
-/// exits 1 before any work starts.
+/// A malformed geometry (chips, tiles, columns), an out-of-range rate, a
+/// bad phase (negative, or measure=0) or an unknown option prints one
+/// diagnosed line and exits 1 before any work starts.
 ///
 /// Examples:
 ///   fabric_cli fast=1
 ///   fabric_cli chips=2 tiles=16 columns=4 links=ring verify=1
-///   fabric_cli fast=1 shards=4 crosscheck=1 verify=1   # CI smoke
+///   fabric_cli fast=1 verify=1   # CI smoke
 #include <cstdio>
 
 #include "chip/os.h"
@@ -102,7 +99,6 @@ main(int argc, char **argv)
         }
         cfg.workload = wspecs[0];
     }
-    cfg.shards = static_cast<int>(opts.getInt("shards", 1));
     cfg.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
     cfg.audit = opts.getBool("verify", false);
     cfg.phases = opts.getBool("fast", false) ? RunPhases{500, 2000, 1000}
@@ -121,6 +117,7 @@ main(int argc, char **argv)
                                            cfg.phases.drain)));
     if (const std::string bad = cfg.phases.validate(); !bad.empty())
         optionError("bad fabric run: " + bad);
+    rejectUnreadOptions(opts);
 
     std::printf("=== fabric: %d chip(s) x %dx%d tiles, %zu shared "
                 "column(s), %s links, %s/%s ===\n",
@@ -171,26 +168,6 @@ main(int argc, char **argv)
         }
     }
 
-    const int crossShards = static_cast<int>(opts.getInt("crosscheck", 0));
-    if (crossShards > 0) {
-        FabricConsolidationConfig other = cfg;
-        other.shards = crossShards;
-        other.audit = false;
-        const FabricConsolidationResult check =
-            runFabricConsolidation(other);
-        if (check.digest == res.digest) {
-            std::printf("digest cross-check: OK (shards=%d == shards=%d)\n",
-                        cfg.shards, crossShards);
-        } else {
-            std::printf("digest cross-check: MISMATCH (shards=%d %016llx "
-                        "vs shards=%d %016llx)\n",
-                        cfg.shards,
-                        static_cast<unsigned long long>(res.digest),
-                        crossShards,
-                        static_cast<unsigned long long>(check.digest));
-            rc = 1;
-        }
-    }
     if (res.drainCycle == kNoCycle)
         rc = 1;
     return rc;

@@ -24,9 +24,6 @@
 ///   warmup=C measure=C drain=C gencycles=C
 ///                        cycle counts in [0, 2^40], measure >= 1
 ///   threads=N            (0 = hardware concurrency)
-///   shards=N             intra-run shard threads per cell (default 1;
-///                        bit-identical output — the runner divides the
-///                        machine between cell workers and shards)
 ///   out=path.json        (write the taqos-sweep/v1 record)
 ///   cache=DIR            content-addressed cell cache: cells already in
 ///                        DIR are loaded instead of re-run, fresh cells
@@ -36,6 +33,9 @@
 ///                        cold, create) a checkpoint sidecar taken at
 ///                        the warmup boundary; exclusive with cache=
 ///   name=label
+///
+/// A malformed value or an unknown option prints one diagnosed line and
+/// exits 1 before any work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json
@@ -157,7 +157,6 @@ main(int argc, char **argv)
             static_cast<Cycle>(opts.getInt("gencycles", 100000));
     }
 
-    spec.shards = static_cast<int>(opts.getInt("shards", 1));
     if (const std::string bad = spec.validate(); !bad.empty())
         optionError(bad);
 
@@ -166,6 +165,8 @@ main(int argc, char **argv)
 
     const std::string cacheDir = opts.get("cache", "");
     const std::string ckptFile = opts.get("checkpoint", "");
+    const std::string out = opts.get("out", "");
+    rejectUnreadOptions(opts);
     if (!cacheDir.empty() && !ckptFile.empty()) {
         std::fprintf(stderr, "cache= and checkpoint= are exclusive\n");
         return 1;
@@ -260,7 +261,6 @@ main(int argc, char **argv)
         std::printf("%s\n", t.render().c_str());
     }
 
-    const std::string out = opts.get("out", "");
     if (!out.empty()) {
         if (!result.writeJson(out))
             return 1;

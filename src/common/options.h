@@ -6,6 +6,7 @@
 ///   bad rates '<s>': want a,b,c or lo:hi:step (step > 0)
 ///   bad integer list '<s>': want a,b,c
 ///   unknown <what> '<token>'[; valid: <names>]
+///   unknown option '<key>'
 ///
 /// The enum helpers take the canonical `parseX` round-trip functions
 /// (parseTopology, parseQosMode, parsePattern, parseLinkTopology, ...)
@@ -39,6 +40,17 @@ unknownValue(const char *what, const std::string &token,
         optionError(strFormat("unknown %s '%s'", what, token.c_str()));
     optionError(strFormat("unknown %s '%s'; valid: %s", what, token.c_str(),
                           valid.c_str()));
+}
+
+/// Reject the first option no lookup consumed — a typo or a retired
+/// option — with one line, `unknown option '<key>'`. Call once every
+/// option has been read, before any work starts.
+inline void
+rejectUnreadOptions(const OptionMap &opts)
+{
+    const std::vector<std::string> unread = opts.unread();
+    if (!unread.empty())
+        optionError(strFormat("unknown option '%s'", unread.front().c_str()));
 }
 
 /// Space-joined names of an enum range, for unknownValue's `valid` hint:

@@ -73,41 +73,63 @@ OptionMap::OptionMap(int argc, char **argv)
     }
 }
 
+const std::string *
+OptionMap::find(const std::string &key) const
+{
+    const auto it = kv_.find(key);
+    if (it == kv_.end())
+        return nullptr;
+    read_.insert(key);
+    return &it->second;
+}
+
 bool
 OptionMap::has(const std::string &key) const
 {
-    return kv_.count(key) > 0;
+    return find(key) != nullptr;
 }
 
 std::string
 OptionMap::get(const std::string &key, const std::string &dflt) const
 {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
+    const std::string *v = find(key);
+    return v == nullptr ? dflt : *v;
 }
 
 std::int64_t
 OptionMap::getInt(const std::string &key, std::int64_t dflt) const
 {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 0);
+    const std::string *v = find(key);
+    return v == nullptr ? dflt : std::strtoll(v->c_str(), nullptr, 0);
 }
 
 double
 OptionMap::getDouble(const std::string &key, double dflt) const
 {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    const std::string *v = find(key);
+    return v == nullptr ? dflt : std::strtod(v->c_str(), nullptr);
 }
 
 bool
 OptionMap::getBool(const std::string &key, bool dflt) const
 {
-    const auto it = kv_.find(key);
-    if (it == kv_.end())
+    const std::string *v = find(key);
+    if (v == nullptr)
         return dflt;
-    const std::string v = strLower(it->second);
-    return v == "1" || v == "true" || v == "yes" || v == "on";
+    const std::string lower = strLower(*v);
+    return lower == "1" || lower == "true" || lower == "yes" ||
+           lower == "on";
+}
+
+std::vector<std::string>
+OptionMap::unread() const
+{
+    std::vector<std::string> out;
+    for (const auto &kv : kv_) {
+        if (read_.count(kv.first) == 0)
+            out.push_back(kv.first);
+    }
+    return out;
 }
 
 } // namespace taqos

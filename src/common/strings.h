@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,8 @@ std::string strTrim(const std::string &s);
 std::string strLower(const std::string &s);
 
 /// Parses argv of the form `key=value ...` (plus bare flags, stored with
-/// value "1"). Unknown keys are kept; callers validate what they consume.
+/// value "1"). Every lookup (has or a getter) marks its key as read, so
+/// a CLI can reject the keys it never consumed (unread()).
 class OptionMap {
   public:
     OptionMap() = default;
@@ -37,10 +39,16 @@ class OptionMap {
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
-    const std::map<std::string, std::string> &raw() const { return kv_; }
+    /// Keys given on the command line that no lookup has read yet, in
+    /// key order.
+    std::vector<std::string> unread() const;
 
   private:
+    /// The value of `key` (null when absent); marks the key read.
+    const std::string *find(const std::string &key) const;
+
     std::map<std::string, std::string> kv_;
+    mutable std::set<std::string> read_;
 };
 
 } // namespace taqos

@@ -203,7 +203,7 @@ struct FabricConsolidationConfig {
     /// Each owned compute node also streams this fraction of its rate
     /// into every remote chip's nearest protected column.
     double remoteShare = 0.25;
-    int shards = 1; ///< EngineConfig::shards (bit-identical by contract)
+    int shards = 1; ///< only perfbench/driver.cpp sets it; must be 1
     std::uint64_t seed = 1;
     RunPhases phases;
     /// Dynamic-workload shape (steady/bursty/ramp; trace and churn have
@@ -233,7 +233,7 @@ struct FabricConsolidationResult {
     std::uint64_t linkHops = 0;    ///< inter-chip link traversals
     std::uint64_t preemptions = 0;
     double avgLatency = 0.0;       ///< end-to-end, rows and links included
-    std::uint64_t digest = 0;      ///< metricsDigest (sharding identity)
+    std::uint64_t digest = 0;      ///< metricsDigest of the whole run
     std::vector<FabricVmShare> vms;
     /// Checker audit of the recorded trace (cfg.audit only).
     bool auditOk = true;

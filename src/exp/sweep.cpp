@@ -20,7 +20,6 @@
 #include "exp/json_writer.h"
 #include "sim/chip_sim.h"
 #include "sim/column_sim.h"
-#include "sim/shard_plan.h"
 #include "traffic/workloads.h"
 
 namespace taqos {
@@ -110,7 +109,6 @@ buildColumnCellSim(const CellSpec &cell)
     traffic.seed = cell.seed;
     auto sim =
         std::make_unique<ColumnSim>(col, traffic, cell.workloadSpec);
-    sim->configure({.shards = cell.shards});
     sim->setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
     return sim;
 }
@@ -226,7 +224,6 @@ runAdversarialCell(const CellSpec &cell)
     finite.seed = cell.seed;
 
     ColumnSim sim(col, finite, cell.workloadSpec);
-    sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(0, gen);
     const Cycle done = sim.runUntilDrained(budget, gen);
     TAQOS_ASSERT(done != kNoCycle, "%s: run did not drain",
@@ -237,7 +234,6 @@ runAdversarialCell(const CellSpec &cell)
     ColumnConfig colRef = col;
     colRef.mode = QosMode::PerFlowQueue;
     ColumnSim ref(colRef, finite, cell.workloadSpec);
-    ref.configure({.shards = cell.shards});
     ref.setMeasureWindow(0, gen);
     const Cycle doneRef = ref.runUntilDrained(budget, gen);
     TAQOS_ASSERT(doneRef != kNoCycle, "%s: reference run did not drain",
@@ -336,7 +332,6 @@ runChipChurnCell(const CellSpec &cell)
     }
 
     ChipSim sim(cfg, traffic);
-    sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
 
     // Segment loop: run to each frame-aligned epoch boundary inside the
@@ -421,7 +416,6 @@ runChipConsolidationCell(const CellSpec &cell)
     }
 
     ChipSim sim(cfg, traffic, cell.workloadSpec);
-    sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
     const Cycle drain =
         sim.runUntilDrained(cell.phases.total() * 4, traffic.genUntil);
@@ -564,8 +558,6 @@ SweepSpec::canonical() const
         c.modes = {QosMode::Pvc};
     if (c.rates.empty())
         c.rates = {0.05};
-    if (c.shards < 1)
-        c.shards = 1;
 
     // Axes a scenario does not consume are collapsed to a single
     // canonical value so they never multiply the grid.
@@ -650,7 +642,6 @@ SweepSpec::expand() const
                                     cell.replicate = rep;
                                     cell.phases = c.phases;
                                     cell.genCycles = c.genCycles;
-                                    cell.shards = c.shards;
                                     cell.seed = cellSeed(c, cell);
                                     cells.push_back(cell);
                                 }
@@ -922,11 +913,12 @@ SweepRunner::run(const SweepSpec &spec, CellCache *cache) const
             runColumnGroup(cells, u, result.cells);
     };
 
-    // Cell workers x intra-run shards must fit the machine (see the
-    // class comment for the precedence rules).
-    const int workers =
-        sweepWorkerBudget(threads_, units.size(), result.spec.shards,
-                          std::thread::hardware_concurrency());
+    // Never more workers than the machine has hardware threads, nor than
+    // there are units to run.
+    const int hw =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    const int workers = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(std::min(threads_, hw)), units.size()));
     if (workers <= 1) {
         for (const auto &u : units)
             runUnit(u);

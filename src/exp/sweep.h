@@ -79,10 +79,7 @@ struct CellSpec {
     std::uint64_t seed = 0; ///< traffic seed for this cell
     RunPhases phases;
     Cycle genCycles = 100000; ///< Adversarial generation horizon
-    /// Intra-run shard threads (EngineConfig::shards). An execution knob
-    /// like the runner's thread count: bit-identical results by the
-    /// sharding contract, so it is neither serialized nor seed-mixed.
-    int shards = 1;
+    int shards = 1; ///< only perfbench/driver.cpp sets it; must be 1
 };
 
 /// Scalar metrics one cell produced, in a stable emission order.
@@ -129,8 +126,6 @@ struct SweepSpec {
 
     RunPhases phases;
     Cycle genCycles = 100000;
-    /// Intra-run shard threads, copied to every cell (see CellSpec).
-    int shards = 1;
 
     /// "" when the spec can run, else one "bad sweep: ..." line naming
     /// the bad field (replicates >= 1, runnable phases, a generation
@@ -180,13 +175,8 @@ struct SweepResult {
 };
 
 /// Executes the cells of a spec on a thread pool. Stateless between runs;
-/// safe to reuse.
-///
-/// Thread budgeting: cell-level workers multiply with the spec's
-/// intra-run `shards`, so run() caps the worker count at
-/// hardware_concurrency / shards (sweepWorkerBudget in
-/// sim/shard_plan.h). An explicit `numThreads` takes precedence up to
-/// that cap; shards take the remainder of the machine.
+/// safe to reuse. run() uses min(numThreads, hardware_concurrency)
+/// workers, and never more than there are cells to run.
 class SweepRunner {
   public:
     /// `numThreads` <= 0 selects std::thread::hardware_concurrency().

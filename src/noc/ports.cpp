@@ -58,16 +58,16 @@ InputPort::recountHot()
     int queued = 0;
     for (const InjectorQueue *inj : injectors)
         queued += static_cast<int>(inj->queue().size());
-    hot_->occupied = occupied;
-    hot_->queuedPkts = queued;
-    hot_->mutEpoch = 0;
+    hot_.occupied = occupied;
+    hot_.queuedPkts = queued;
+    hot_.mutEpoch = 0;
 }
 
 void
 InputPort::onVcReserved(VirtualChannel &vc)
 {
-    ++hot_->occupied;
-    ++hot_->mutEpoch;
+    ++hot_.occupied;
+    ++hot_.mutEpoch;
     if (trace != nullptr) {
         trace->vcReserved(*this, vcIndex(vc), *vc.packet(),
                           vc.headArrival(), vc.tailArrival());
@@ -90,9 +90,9 @@ InputPort::armEjection()
 void
 InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 {
-    --hot_->occupied;
-    ++hot_->mutEpoch;
-    TAQOS_ASSERT(hot_->occupied >= 0, "occupancy underflow on %s",
+    --hot_.occupied;
+    ++hot_.mutEpoch;
+    TAQOS_ASSERT(hot_.occupied >= 0, "occupancy underflow on %s",
                  name.c_str());
     if (trace != nullptr && freed != nullptr)
         trace->vcFreed(*this, vcIndex(vc), *freed);
@@ -103,7 +103,7 @@ InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 void
 InputPort::onVcDrained(VirtualChannel &vc)
 {
-    ++hot_->mutEpoch;
+    ++hot_.mutEpoch;
     if (trace != nullptr)
         trace->vcDrained(*this, vcIndex(vc), *vc.packet());
     // Still occupied (the packet stays resident until its tail departs),
@@ -115,7 +115,7 @@ InputPort::onVcDrained(VirtualChannel &vc)
 void
 InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 {
-    ++hot_->queuedPkts;
+    ++hot_.queuedPkts;
     if (owner != nullptr)
         owner->noteInjectorEnqueue(inj, headChanged);
 }
@@ -123,8 +123,8 @@ InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 void
 InputPort::onInjectorDequeue(InjectorQueue &inj)
 {
-    --hot_->queuedPkts;
-    TAQOS_ASSERT(hot_->queuedPkts >= 0, "queued-packet underflow on %s",
+    --hot_.queuedPkts;
+    TAQOS_ASSERT(hot_.queuedPkts >= 0, "queued-packet underflow on %s",
                  name.c_str());
     if (owner != nullptr)
         owner->noteInjectorDequeue(inj);

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 #include "noc/activity.h"
 #include "noc/packet.h"
@@ -39,9 +38,7 @@ class InputPort;
 class Router;
 class TraceSink;
 
-/// The per-input-port counters the tick loop reads every cycle. Each port
-/// carries one inline (standalone fixtures), and Network::packHotState
-/// re-binds all ports of a fabric onto one contiguous node-ordered array.
+/// The per-input-port counters the tick loop reads every cycle.
 struct PortHot {
     int occupied = 0;   ///< VCs currently not Free
     int queuedPkts = 0; ///< packets across the port's injector queues
@@ -165,10 +162,9 @@ class InputPort {
     /// not recording; wired by Network::setTraceSink).
     TraceSink *trace = nullptr;
 
-    /// VC storage. Arena-backed once the network packs its hot state
-    /// (growth under unbounded VCs then also draws from the arena); all
-    /// cross-references into it are index-based, so relocation is safe.
-    ArenaVec<VirtualChannel> vcs;
+    /// VC storage. Every cross-reference into it is index-based, so
+    /// growth under unbounded VCs may relocate it.
+    std::vector<VirtualChannel> vcs;
 
     /// Only for Kind::Injection: the sources multiplexed onto this port.
     std::vector<InjectorQueue *> injectors;
@@ -190,14 +186,10 @@ class InputPort {
     /// VCs currently not Free — maintained by the VirtualChannel hooks
     /// once attachVcs() has run, so the engine and the candidate scan can
     /// skip empty ports without touching the VC array.
-    int occupied() const { return hot_->occupied; }
+    int occupied() const { return hot_.occupied; }
 
     /// Packets queued across this injection port's injector queues.
-    int queuedPackets() const { return hot_->queuedPkts; }
-
-    /// Re-home the hot counters onto `hot` (the network's contiguous
-    /// per-port array), carrying the current values over.
-    void bindHot(PortHot *hot) { hot_ = new (hot) PortHot(*hot_); }
+    int queuedPackets() const { return hot_.queuedPkts; }
 
     /// Point every VC of this port back at it (idempotent; called from
     /// Network::finalizeRouters; unbounded-VC growth self-attaches).
@@ -234,7 +226,7 @@ class InputPort {
     /// Bumped on every VC state transition. The preemption victim search
     /// keys its "no victim here last time" memo on it (ports without an
     /// owning router — terminals, handoffs — included).
-    std::uint64_t mutEpoch() const { return hot_->mutEpoch; }
+    std::uint64_t mutEpoch() const { return hot_.mutEpoch; }
 
     // --- ejection list (owner-less terminal/handoff buffers) -----------
 
@@ -252,8 +244,7 @@ class InputPort {
     void leaveEjectionList() { ejectArmed_ = false; }
 
   private:
-    PortHot localHot_;
-    PortHot *hot_ = &localHot_;
+    PortHot hot_;
     EjectionList *ejectList_ = nullptr;
     int ejectOrdinal_ = -1;
     bool ejectArmed_ = false;

@@ -150,7 +150,7 @@ Router::updateInjectorSlot(InjectorQueue &inj)
 void
 Router::noteVcReserved(InputPort *in, int vcIdx)
 {
-    ++hot_->occupiedVcs;
+    ++hot_.occupiedVcs;
     addVcSlot(in, vcIdx);
     arm();
 }
@@ -158,8 +158,8 @@ Router::noteVcReserved(InputPort *in, int vcIdx)
 void
 Router::noteVcFreed(InputPort *in, VirtualChannel &vc)
 {
-    --hot_->occupiedVcs;
-    TAQOS_ASSERT(hot_->occupiedVcs >= 0, "router %d VC-occupancy underflow",
+    --hot_.occupiedVcs;
+    TAQOS_ASSERT(hot_.occupiedVcs >= 0, "router %d VC-occupancy underflow",
                  node_);
     // A Draining VC already surrendered its slot; a Reserved one (kill,
     // terminal ejection at a router-owned port) still holds it.
@@ -180,7 +180,7 @@ Router::noteVcDrained(InputPort *in, VirtualChannel &vc)
 void
 Router::noteInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 {
-    ++hot_->queuedPkts;
+    ++hot_.queuedPkts;
     if (headChanged)
         updateInjectorSlot(inj);
     arm();
@@ -189,8 +189,8 @@ Router::noteInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 void
 Router::noteInjectorDequeue(InjectorQueue &inj)
 {
-    --hot_->queuedPkts;
-    TAQOS_ASSERT(hot_->queuedPkts >= 0, "router %d queued-packet underflow",
+    --hot_.queuedPkts;
+    TAQOS_ASSERT(hot_.queuedPkts >= 0, "router %d queued-packet underflow",
                  node_);
     updateInjectorSlot(inj);
 }
@@ -207,9 +207,9 @@ void
 Router::noteXferStarted(OutputPort &out)
 {
     const Cycle tailDepart = out.transfer().tailDepart;
-    ++hot_->activeXfers;
-    if (tailDepart < hot_->nextCompletion)
-        hot_->nextCompletion = tailDepart;
+    ++hot_.activeXfers;
+    if (tailDepart < hot_.nextCompletion)
+        hot_.nextCompletion = tailDepart;
     fileCompletion(out);
     arm();
 }
@@ -217,8 +217,8 @@ Router::noteXferStarted(OutputPort &out)
 void
 Router::noteXferEnded()
 {
-    --hot_->activeXfers;
-    TAQOS_ASSERT(hot_->activeXfers >= 0, "router %d transfer-count underflow",
+    --hot_.activeXfers;
+    TAQOS_ASSERT(hot_.activeXfers >= 0, "router %d transfer-count underflow",
                  node_);
 }
 
@@ -402,7 +402,7 @@ Router::collectCandidates(TickContext &ctx)
     }
 }
 
-bool
+void
 Router::collectOutput(int outPort, TickContext &ctx)
 {
     Candidate &best = best_[static_cast<std::size_t>(outPort)];
@@ -428,24 +428,8 @@ Router::collectOutput(int outPort, TickContext &ctx)
                     wake = at;
                 continue;
             }
-            if (ctx.gate != nullptr) {
-                // A gate admission may mutate engine-global state (GSF
-                // charges a frame budget and stamps the packet). The
-                // sharded parallel scan must not do that — both for
-                // determinism (admissions are ordered by node) and
-                // because the gate is shared across regions — so it only
-                // proceeds when the gate vouches the call is pure;
-                // otherwise the whole output is left for the serial
-                // grant phase.
-                if (ctx.speculative) {
-                    if (!ctx.gate->admitIsPure(*pkt)) {
-                        best.pkt = nullptr;
-                        return false;
-                    }
-                } else if (!ctx.gate->admit(*pkt, ctx.now)) {
-                    continue;
-                }
-            }
+            if (ctx.gate != nullptr && !ctx.gate->admit(*pkt, ctx.now))
+                continue;
         } else {
             const VirtualChannel &vc =
                 slot.port->vcs[static_cast<std::size_t>(slot.vc)];
@@ -479,7 +463,6 @@ Router::collectOutput(int outPort, TickContext &ctx)
     outWake_[static_cast<std::size_t>(outPort)] = wake;
     if (best.pkt != nullptr)
         winnerOuts_.set(static_cast<std::size_t>(outPort));
-    return true;
 }
 
 bool
@@ -796,7 +779,7 @@ Router::tickCompletions(Cycle now)
     // nextCompletion is a lower bound on the earliest active transfer's
     // tail departure (a cancellation can only raise the true minimum), so
     // ticks before it are exact no-ops for every output.
-    if (hot_->activeXfers == 0 || now < hot_->nextCompletion)
+    if (hot_.activeXfers == 0 || now < hot_.nextCompletion)
         return;
     Cycle next = kNoCycle;
     for (const auto &out : outputs_) {
@@ -805,7 +788,7 @@ Router::tickCompletions(Cycle now)
         if (xfer.active && xfer.tailDepart < next)
             next = xfer.tailDepart;
     }
-    hot_->nextCompletion = next;
+    hot_.nextCompletion = next;
 }
 
 void
@@ -833,20 +816,6 @@ Router::tickArbitrate(TickContext &ctx)
 }
 
 void
-Router::tickScan(TickContext &ctx)
-{
-    TAQOS_ASSERT(ctx.speculative, "tickScan is the speculative scan phase");
-    // The scan's inputs are all router-local (own slot lists, own input
-    // VCs and injector queues, packet fields no concurrent phase
-    // writes), so regions can run it concurrently; a grant-phase event
-    // at another router that could change a result re-dirties the
-    // affected output through the hooks, re-scanning it serially at this
-    // router's turn — exactly when the serial engine would have scanned
-    // it.
-    scanOutputs(ctx);
-}
-
-void
 Router::scanOutputs(TickContext &ctx)
 {
     Cycle minWake = minWake_;
@@ -866,15 +835,7 @@ Router::scanOutputs(TickContext &ctx)
     // Ascending output order keeps every scan side effect (GSF
     // admissions) in the always-tick engine's sequence.
     dirtyOuts_.drain([&](std::size_t o) {
-        if (!collectOutput(static_cast<int>(o), ctx)) {
-            // Impure gate admission: the serial grant phase must redo
-            // this output with the real admit call. Force its rescan by
-            // keeping it dirty; the cleared best keeps the stale winner
-            // from being granted if the rescan finds the packet
-            // inadmissible.
-            dirtyOuts_.set(o);
-            outWake_[o] = kNoCycle;
-        }
+        collectOutput(static_cast<int>(o), ctx);
         if (outWake_[o] < minWake)
             minWake = outWake_[o];
     });
@@ -893,20 +854,20 @@ Router::rebuildFromRestore()
 {
     for (const auto &in : inputs_)
         in->recountHot();
-    hot_->occupiedVcs = 0;
-    hot_->queuedPkts = 0;
-    hot_->activeXfers = 0;
-    hot_->nextCompletion = kNoCycle;
+    hot_.occupiedVcs = 0;
+    hot_.queuedPkts = 0;
+    hot_.activeXfers = 0;
+    hot_.nextCompletion = kNoCycle;
     for (const auto &in : inputs_) {
-        hot_->occupiedVcs += in->occupied();
-        hot_->queuedPkts += in->queuedPackets();
+        hot_.occupiedVcs += in->occupied();
+        hot_.queuedPkts += in->queuedPackets();
     }
     for (const auto &out : outputs_) {
         const OutputPort::Transfer &xfer = out->transfer();
         if (xfer.active) {
-            ++hot_->activeXfers;
-            if (xfer.tailDepart < hot_->nextCompletion)
-                hot_->nextCompletion = xfer.tailDepart;
+            ++hot_.activeXfers;
+            if (xfer.tailDepart < hot_.nextCompletion)
+                hot_.nextCompletion = xfer.tailDepart;
         }
     }
 

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bitset.h"
 #include "common/types.h"
 #include "noc/activity.h"
@@ -65,20 +64,11 @@ struct TickContext {
     /// no activity shortcuts (the bit-identity reference the activity-
     /// driven engine is checked against).
     bool forceScan = false;
-    /// Sharded engine's parallel scan phase: recompute cached winners
-    /// without any side effect outside this router. A scan that would
-    /// have to consult impure gate state (SourceGate::admit can charge a
-    /// GSF budget) aborts instead, leaving the output dirty for the
-    /// serial grant phase to rescan.
-    bool speculative = false;
 };
 
 /// The per-router counters and schedule bounds the engine consults every
-/// cycle before deciding whether the router can be skipped. One inline
-/// copy per router (standalone fixtures); Network::packHotState re-binds
-/// a fabric's routers onto one contiguous node-ordered array so the
-/// engine's sweep/merge walk stays on a few cache lines.
-struct alignas(64) RouterHot {
+/// cycle before deciding whether the router can be skipped.
+struct RouterHot {
     int occupiedVcs = 0;
     int queuedPkts = 0;
     int activeXfers = 0;
@@ -134,15 +124,6 @@ class Router {
     /// One simulation cycle, phase 2: VC allocation / preemption.
     void tickArbitrate(TickContext &ctx);
 
-    /// Sharded engine, parallel phase: refresh this router's cached
-    /// winner sets (the scan half of tickArbitrate) touching nothing
-    /// outside the router. ctx.speculative must be set. Outputs whose
-    /// scan would need an impure gate admission stay dirty; everything
-    /// else ends up exactly as a serial tickArbitrate would leave it
-    /// before its grant loop, so the subsequent serial grant phase takes
-    /// the cached-winner fast path.
-    void tickScan(TickContext &ctx);
-
     /// Both phases (single-router unit tests only).
     void tick(TickContext &ctx);
 
@@ -178,9 +159,6 @@ class Router {
 
     /// Register with the engine worklist (arms the router immediately).
     void setWorklist(ActivityWorklist *wl);
-    /// Sharded engine: point future arms at a per-region worklist without
-    /// touching the membership flag (the caller moves pending entries).
-    void rebindWorklist(ActivityWorklist *wl) { worklist_ = wl; }
     bool inWorklist() const { return inWorklist_; }
     /// The worklist (and completion calendar) this router arms onto.
     const ActivityWorklist *worklist() const { return worklist_; }
@@ -192,18 +170,7 @@ class Router {
     /// A router with none is a provable no-op and is skipped entirely.
     bool hasWork() const
     {
-        return hot_->occupiedVcs + hot_->queuedPkts + hot_->activeXfers > 0;
-    }
-
-    /// Re-home the hot counters onto `hot` (the network's contiguous
-    /// per-router array), carrying the current values over.
-    void bindHot(RouterHot *hot) { hot_ = new (hot) RouterHot(*hot_); }
-    /// Allocate all future arbitration-slot storage from `arena` and move
-    /// the current lists there.
-    void bindSlotArena(BumpArena *arena)
-    {
-        for (auto &list : slots_)
-            list.rebind(arena);
+        return hot_.occupiedVcs + hot_.queuedPkts + hot_.activeXfers > 0;
     }
 
     /// Policy state changed behind every output's back (frame flush, GSF
@@ -220,8 +187,8 @@ class Router {
     /// invalidation would, which is proven bit-identical.
     void rebuildFromRestore();
 
-    /// Checkpoint restore, after the worklists are rebound: file every
-    /// restored in-flight transfer on this router's completion calendar.
+    /// Checkpoint restore: file every restored in-flight transfer on the
+    /// engine's completion calendar.
     void fileActiveTransfers();
 
     /// Activity-state self-check at the cycle boundary before `now`:
@@ -250,9 +217,9 @@ class Router {
     /// dirty several outputs.
     void noteTableMutated(int tableIdx);
 
-    int occupiedVcCount() const { return hot_->occupiedVcs; }
-    int queuedPacketCount() const { return hot_->queuedPkts; }
-    int activeXferCount() const { return hot_->activeXfers; }
+    int occupiedVcCount() const { return hot_.occupiedVcs; }
+    int queuedPacketCount() const { return hot_.queuedPkts; }
+    int activeXferCount() const { return hot_.activeXfers; }
 
   private:
     struct Candidate {
@@ -282,12 +249,9 @@ class Router {
     /// outputs at once (the always-tick reference path).
     void collectCandidates(TickContext &ctx);
     /// Activity path: re-derive one output's winner from its slot list.
-    /// Returns false when a speculative scan had to abort on an impure
-    /// gate admission (the output must stay dirty; best is cleared).
-    bool collectOutput(int outPort, TickContext &ctx);
+    void collectOutput(int outPort, TickContext &ctx);
     /// Rescan, in ascending order, every dirty output and (once
-    /// minWake_ has come due) every output whose wake has; shared by
-    /// tickArbitrate and tickScan.
+    /// minWake_ has come due) every output whose wake has.
     void scanOutputs(TickContext &ctx);
 
     void addVcSlot(InputPort *in, int vcIdx);
@@ -352,7 +316,7 @@ class Router {
     /// the legacy input-major scan would. `outWake_[o]` is the earliest
     /// cycle a currently-ineligible slot matures by time alone (kNoCycle
     /// = none pending); it starts at 0 so the first tick scans.
-    std::vector<ArenaVec<ArbSlot>> slots_;
+    std::vector<std::vector<ArbSlot>> slots_;
     std::vector<Cycle> outWake_;
     /// tableIdx -> outputs charging it (replicated channels share).
     std::vector<std::vector<int>> tableOuts_;
@@ -387,8 +351,7 @@ class Router {
 
     ActivityWorklist *worklist_ = nullptr;
     bool inWorklist_ = false;
-    RouterHot localHot_;
-    RouterHot *hot_ = &localHot_;
+    RouterHot hot_;
 
     void arm();
 };

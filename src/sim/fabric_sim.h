@@ -20,9 +20,8 @@
 ///      standalone column simulator.
 /// Inter-chip links are FIFO delay lines with serialization (width
 /// flits/cycle); on a ring, packets hop chip to chip, paying the link
-/// delay per hop. Link state is only touched in the serial phases of
-/// the cycle, so the sharded engine stays bit-identical; a one-chip
-/// one-column fabric is cycle-identical to ChipSim (pinned by tests).
+/// delay per hop. A one-chip one-column fabric is cycle-identical to
+/// ChipSim (pinned by tests).
 #pragma once
 
 #include <cstdint>

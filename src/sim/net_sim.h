@@ -32,28 +32,6 @@
 /// toggle-equivalence tests pin. Phases 1-3 always run: time-driven
 /// policy state (the GSF frame window) must advance even when every
 /// router is idle.
-///
-/// EngineConfig::shards = N splits phase 4 across N threads while
-/// staying bit-identical to the serial engines. The fabric is
-/// partitioned into N contiguous node-range regions (sim/shard_plan.h),
-/// each with a private worklist, and the cycle is restructured into:
-///   - a serial prelude (phases 1-3, unchanged);
-///   - one parallel dispatch per region: sweep and merge the region's
-///     worklist, drain the region's completion calendar (mutations are
-///     router-local by construction), then run the
-///     *speculative* candidate scan (Router::tickScan) — a read-only
-///     rebuild of each router's cached winner set that defers any
-///     impure decision (an unstamped GSF admission) to the next phase;
-///   - a serial grant phase: tickArbitrate over every region's active
-///     list in region order, which — regions being contiguous and
-///     ascending — is exactly the serial engine's node order. Grants,
-///     preemptions and gate charges happen only here, so every
-///     cross-router effect is ordered as in the serial engine;
-///   - serial terminal ejection (phase 5, unchanged).
-/// When the live-router count is too small for the dispatch to pay for
-/// itself the same schedule runs inline (a state-derived, deterministic
-/// choice). With a trace sink attached, completions run serially so the
-/// recorded flit stream is byte-identical to the serial engines'.
 #pragma once
 
 #include <iosfwd>
@@ -72,7 +50,6 @@
 
 namespace taqos {
 
-class ShardPool;
 class CheckpointWriter;
 class CheckpointReader;
 
@@ -100,15 +77,12 @@ class NetSim {
     /// True when no packet is live (queued, in flight, or awaiting ACK).
     bool drained() const { return pool_.liveCount() == 0; }
 
-    /// Apply the engine selection (activity-driven vs. always-tick,
-    /// shard count, dispatch threshold) in one call. Must precede the
-    /// first step, except that `shardMinActive` alone may be re-tuned
-    /// mid-run (it only gates the dispatch heuristic, never results).
+    /// Apply the engine selection (activity-driven vs. always-tick).
+    /// Must precede the first step.
     void configure(const EngineConfig &cfg);
     const EngineConfig &engineConfig() const { return engineCfg_; }
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
-    int shards() const { return engineCfg_.shards; }
 
     /// Open the measurement window [start, end): latency is recorded for
     /// packets generated inside it, per-flow throughput for deliveries
@@ -184,37 +158,17 @@ class NetSim {
     TraceSink *trace_ = nullptr; ///< flit-trace recorder (null = off)
 
   private:
-    /// One contiguous node range [begin, end) with its private activity
-    /// tracking; the engine owns one per shard.
-    struct Region {
-        NodeId begin = 0;
-        NodeId end = 0;
-        ActivityWorklist wl;         ///< arms raised by this region's nodes
-        std::vector<NodeId> active;  ///< sorted ids with work, in-range
-    };
-
-    /// Drop routers whose work drained from a sorted active list (the
+    /// Drop routers whose work drained from the sorted active list (the
     /// arms are folded in by mergeArms, in node order — the relative
     /// order the always-tick engine visits).
-    void sweepIdle(std::vector<NodeId> &active);
-    /// Complete the transfers `cal` holds for this cycle.
-    void completeTransfers(CompletionCalendar &cal);
+    void sweepIdle();
     /// Phase 5 for one buffer: eject every tail-arrived packet.
     void ejectFrom(InputPort *port, bool aux);
-    /// Checkpoint restore: rebuild the completion calendars and the
+    /// Checkpoint restore: rebuild the completion calendar and the
     /// ejection list from the restored transfers and VCs.
     void rebuildSchedules();
 
-    /// The sharded cycle (see file comment); step() delegates here when
-    /// configure() set shards > 1 and partitioned the fabric.
-    void stepSharded();
-    /// A region's parallel slice of the cycle: sweep + merge its
-    /// worklist, completions, then the speculative scan.
-    void regionPhase(Region &reg, TickContext &scanCtx);
-
     std::vector<NodeId> active_; ///< sorted ids of routers with work
-    std::vector<Region> regions_;
-    std::unique_ptr<ShardPool> shardPool_;
 };
 
 } // namespace taqos

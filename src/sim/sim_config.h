@@ -59,22 +59,14 @@ testPhases()
 }
 
 /// Engine selection for a NetSim, applied in one NetSim::configure call
-/// before the first step (only `shardMinActive` may be re-tuned mid-run).
+/// before the first step.
 struct EngineConfig {
     /// Activity-driven router phase (default) vs. the always-tick
     /// reference that visits every router every cycle. Bit-identical;
     /// the reference exists for equivalence tests and ablations.
     bool activityDriven = true;
 
-    /// Threads sharding the router phase (1 = serial). Bit-identical to
-    /// the serial engine under either activityDriven setting.
-    int shards = 1;
-
-    /// Minimum live routers per shard before a cycle is dispatched to
-    /// the thread pool rather than run inline (0 forces the parallel
-    /// path every cycle — equivalence tests use it to exercise the pool
-    /// on workloads of any size).
-    int shardMinActive = 2;
+    int shards = 1; ///< only perfbench/driver.cpp sets it; must be 1
 };
 
 } // namespace taqos

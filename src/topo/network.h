@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "noc/activity.h"
 #include "noc/ports.h"
 #include "qos/policy.h"
@@ -157,14 +156,8 @@ class Network {
     /// injector-to-port back-pointers (enqueue arming), the shared
     /// worklist every router initially arms onto, and the ejection list
     /// the terminal and aux buffers arm onto. Builders must call this
-    /// once, after the full port structure exists. Under the default
-    /// HotLayout::Arena it then packs the per-router hot state (see
-    /// packHotState).
+    /// once, after the full port structure exists.
     void finalizeRouters();
-
-    /// Bytes of hot state packed into the network-owned arena (0 under
-    /// HotLayout::ObjectGraph, or before finalizeRouters).
-    std::size_t hotArenaBytes() const { return arena_.bytesAllocated(); }
 
     /// Next unused flow-table id on `r` (builders group replicated
     /// channels under one id; everything else gets its own).
@@ -185,21 +178,6 @@ class Network {
     std::vector<InputPort *> auxPorts_;
     ActivityWorklist worklist_;
     EjectionList ejection_;
-
-  private:
-    /// Move the cycle-hot state out of the object graph into contiguous
-    /// network-owned storage, in node order: one RouterHot cache line per
-    /// router, then one PortHot record per buffer (router inputs, then
-    /// terminals, then aux), then every port's VC array and every
-    /// router's cached candidate-slot lists. Indices are preserved —
-    /// only storage moves — so VcRef/slot bookkeeping is untouched.
-    /// No-op under HotLayout::ObjectGraph (the layout-ablation baseline).
-    void packHotState();
-
-    /// Backing store for the packed hot state; owned here so its lifetime
-    /// matches the routers that point into it.
-    BumpArena arena_;
-    bool hotPacked_ = false;
 };
 
 } // namespace taqos

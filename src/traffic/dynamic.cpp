@@ -58,7 +58,7 @@ OnOffModulator::advance(Cycle now, const std::vector<FlowId> &live)
     (void)now;
     // One transition draw per live flow per cycle — a chain's draw count
     // is a pure function of the cycles its flow spent live, which keeps
-    // restore and sharding bit-identical.
+    // checkpoint restore bit-identical.
     for (const FlowId flow : live) {
         const auto f = static_cast<std::size_t>(flow);
         const double flip = on_[f] != 0 ? spec_.burstOff : spec_.burstOn;

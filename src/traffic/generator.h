@@ -50,7 +50,7 @@ class TrafficGenerator : public TrafficSource {
     /// visits live flows only. A flow that is not live freezes — its
     /// packet stream consumes no draws and its modulator chain does not
     /// advance — so switching it back on resumes both streams where they
-    /// stopped, exactly reproducibly at any shard count and across
+    /// stopped, exactly reproducibly under either engine and across
     /// checkpoint restore.
     void setFlowActive(FlowId flow, bool active);
     void setFlowRate(FlowId flow, double rate);

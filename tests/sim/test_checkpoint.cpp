@@ -1,11 +1,12 @@
 /// Checkpoint/restore: mid-run save -> restore bit-identity across every
-/// QOS policy, topology, engine and shard count; engine- and
-/// layout-neutral restore (save under one engine/layout, resume under
-/// another); trace continuity across the checkpoint boundary (merged
-/// prefix+suffix trace byte-identical to the uninterrupted run's and
-/// clean under the independent checker); whole-chip and fabric
-/// round-trips; and rejection of corrupt, truncated or mismatched
-/// streams with diagnosable errors that leave the target untouched.
+/// QOS policy, topology and engine at an early and a late save point;
+/// engine-neutral restore (save under
+/// one engine, resume under the other); trace continuity across the
+/// checkpoint boundary (merged prefix+suffix trace byte-identical to the
+/// uninterrupted run's and clean under the independent checker);
+/// whole-chip and fabric round-trips; and rejection of corrupt,
+/// truncated or mismatched streams (a version-1 header included) with
+/// diagnosable errors that leave the target untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/experiments.h"
 #include "qos/pvc.h"
 #include "sim/checkpoint.h"
@@ -65,31 +65,33 @@ struct CkptCase {
     TopologyKind topology;
     QosMode mode;
     bool activity;
-    int shards;
+    /// Save point in quarters of the warmup: 1 cuts early, while the
+    /// network is still filling; 4 cuts at the warmup/measure boundary.
+    int saveQuarters;
 };
 
 class CheckpointEquivalence : public ::testing::TestWithParam<CkptCase> {};
 
 TEST_P(CheckpointEquivalence, MidRunRestoreIsBitIdentical)
 {
-    // One run saved mid-warmup and continued (saving is const, so this
-    // is also the uninterrupted reference), one run restored from the
-    // snapshot into a freshly built sim: digests must match exactly.
+    // One run saved during the warmup and continued (saving is const, so
+    // this is also the uninterrupted reference), one run restored from
+    // the snapshot into a freshly built sim: digests must match exactly.
     const CkptCase &tc = GetParam();
     const RunPhases phases = testPhases();
+    const Cycle saveAt =
+        phases.warmup * static_cast<Cycle>(tc.saveQuarters) / 4;
     const ColumnConfig col = paperColumn(tc.topology, tc.mode);
     const TrafficConfig traffic = uniformTraffic(0.08);
     EngineConfig ec;
     ec.activityDriven = tc.activity;
-    ec.shards = tc.shards;
-    ec.shardMinActive = 0; // exercise the pool every cycle
 
     ColumnSim ref(col, traffic);
     ref.configure(ec);
     ref.setMeasureWindow(phases.warmup, phases.measureEnd());
-    ref.run(phases.warmup);
+    ref.run(saveAt);
     const std::string bytes = saveToString(ref);
-    ref.run(phases.total() - phases.warmup);
+    ref.run(phases.total() - saveAt);
     ref.checkInvariants();
     const std::uint64_t want = runDigest(ref);
 
@@ -98,12 +100,12 @@ TEST_P(CheckpointEquivalence, MidRunRestoreIsBitIdentical)
     sim.setMeasureWindow(phases.warmup, phases.measureEnd());
     std::string err;
     ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
-    EXPECT_EQ(sim.now(), phases.warmup);
-    sim.run(phases.total() - phases.warmup);
+    EXPECT_EQ(sim.now(), saveAt);
+    sim.run(phases.total() - saveAt);
     sim.checkInvariants();
     EXPECT_EQ(runDigest(sim), want)
         << topologyName(tc.topology) << "/" << qosModeName(tc.mode)
-        << (tc.activity ? "/event" : "/tick") << "/shards=" << tc.shards;
+        << (tc.activity ? "/event" : "/tick") << "/save=" << saveAt;
 }
 
 std::vector<CkptCase>
@@ -114,8 +116,9 @@ ckptCases()
                       TopologyKind::Dps}) {
         for (QosMode mode : kAllQosModes) {
             for (bool activity : {true, false}) {
-                cases.push_back(CkptCase{kind, mode, activity, 1});
-                cases.push_back(CkptCase{kind, mode, activity, 4});
+                for (int quarters : {1, 4})
+                    cases.push_back(
+                        CkptCase{kind, mode, activity, quarters});
             }
         }
     }
@@ -128,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::string n = std::string(topologyName(info.param.topology)) +
                         "_" + qosModeName(info.param.mode) +
                         (info.param.activity ? "_event" : "_tick") +
-                        "_s" + std::to_string(info.param.shards);
+                        "_s" + std::to_string(info.param.saveQuarters);
         for (char &c : n)
             if (c == '-')
                 c = '_';
@@ -140,104 +143,31 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CheckpointEngines, SavedUnderOneEngineRestoresUnderAnyOther)
 {
     // A checkpoint carries structural state only; the restore target's
-    // own engine configuration governs the continuation, and every
-    // engine continues to the same digest.
+    // own engine configuration governs the continuation, and both
+    // engines continue to the same digest.
     const RunPhases phases = testPhases();
     const ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::Pvc);
     const TrafficConfig traffic = uniformTraffic(0.08);
 
-    ColumnSim ref(col, traffic);
-    ref.setMeasureWindow(phases.warmup, phases.measureEnd());
-    ref.run(phases.warmup);
-    const std::string bytes = saveToString(ref);
-    ref.run(phases.total() - phases.warmup);
-    const std::uint64_t want = runDigest(ref);
-
-    struct EnginePick {
-        bool activity;
-        int shards;
-    };
-    for (const auto &[activity, shards] :
-         {EnginePick{true, 4}, EnginePick{false, 1}, EnginePick{false, 4}}) {
-        ColumnSim sim(col, traffic);
-        EngineConfig ec;
-        ec.activityDriven = activity;
-        ec.shards = shards;
-        ec.shardMinActive = 0;
-        sim.configure(ec);
-        sim.setMeasureWindow(phases.warmup, phases.measureEnd());
-        std::string err;
-        ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
-        sim.run(phases.total() - phases.warmup);
-        sim.checkInvariants();
-        EXPECT_EQ(runDigest(sim), want)
-            << (activity ? "event" : "tick") << "/shards=" << shards;
-    }
-}
-
-TEST(CheckpointEngines, SavedUnderShardedRestoresUnderSerial)
-{
-    const RunPhases phases = testPhases();
-    const ColumnConfig col = paperColumn(TopologyKind::Mecs, QosMode::Gsf);
-    const TrafficConfig traffic = uniformTraffic(0.08);
-
-    ColumnSim ref(col, traffic);
-    EngineConfig sharded;
-    sharded.shards = 4;
-    sharded.shardMinActive = 0;
-    ref.configure(sharded);
-    ref.setMeasureWindow(phases.warmup, phases.measureEnd());
-    ref.run(phases.warmup);
-    const std::string bytes = saveToString(ref);
-    ref.run(phases.total() - phases.warmup);
-    const std::uint64_t want = runDigest(ref);
-
-    ColumnSim sim(col, traffic);
-    sim.setMeasureWindow(phases.warmup, phases.measureEnd());
-    std::string err;
-    ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
-    sim.run(phases.total() - phases.warmup);
-    sim.checkInvariants();
-    EXPECT_EQ(runDigest(sim), want);
-}
-
-TEST(CheckpointLayouts, SavedUnderOneHotLayoutRestoresUnderTheOther)
-{
-    // The layout toggle moves storage, never state: a checkpoint saved
-    // from an object-graph run restores into an arena build (and back)
-    // with the same digest.
-    const RunPhases phases = testPhases();
-    const ColumnConfig col = paperColumn(TopologyKind::Mecs, QosMode::Pvc);
-    const TrafficConfig traffic = uniformTraffic(0.08);
-
-    std::uint64_t digests[2] = {0, 0};
-    for (int direction = 0; direction < 2; ++direction) {
-        const HotLayout saveLayout =
-            direction == 0 ? HotLayout::ObjectGraph : HotLayout::Arena;
-        const HotLayout restoreLayout =
-            direction == 0 ? HotLayout::Arena : HotLayout::ObjectGraph;
-
-        setHotLayout(saveLayout);
+    for (bool saveActivity : {true, false}) {
         ColumnSim ref(col, traffic);
+        ref.configure({.activityDriven = saveActivity});
         ref.setMeasureWindow(phases.warmup, phases.measureEnd());
         ref.run(phases.warmup);
         const std::string bytes = saveToString(ref);
         ref.run(phases.total() - phases.warmup);
         const std::uint64_t want = runDigest(ref);
 
-        setHotLayout(restoreLayout);
         ColumnSim sim(col, traffic);
+        sim.configure({.activityDriven = !saveActivity});
         sim.setMeasureWindow(phases.warmup, phases.measureEnd());
         std::string err;
         ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
         sim.run(phases.total() - phases.warmup);
         sim.checkInvariants();
         EXPECT_EQ(runDigest(sim), want)
-            << (direction == 0 ? "graph->arena" : "arena->graph");
-        digests[direction] = want;
+            << (saveActivity ? "event -> tick" : "tick -> event");
     }
-    setHotLayout(HotLayout::Arena);
-    EXPECT_EQ(digests[0], digests[1]);
 }
 
 // --------------------------------------------- trace continuity + audit
@@ -370,11 +300,7 @@ TEST(CheckpointHeader, InfoIsReadableWithoutASimulation)
 {
     const ColumnConfig col = paperColumn(TopologyKind::MeshX1, QosMode::Wrr);
     ColumnSim sim(col, uniformTraffic(0.08));
-    EngineConfig ec;
-    ec.activityDriven = false;
-    ec.shards = 4;
-    ec.shardMinActive = 0;
-    sim.configure(ec);
+    sim.configure({.activityDriven = false});
     sim.run(2000);
     const std::string bytes = saveToString(sim);
 
@@ -385,7 +311,6 @@ TEST(CheckpointHeader, InfoIsReadableWithoutASimulation)
     EXPECT_EQ(info.fingerprint, topologyFingerprint(sim.net()));
     EXPECT_EQ(info.now, 2000u);
     EXPECT_FALSE(info.engine.activityDriven);
-    EXPECT_EQ(info.engine.shards, 4);
 }
 
 class CheckpointRejects : public ::testing::Test {
@@ -415,6 +340,16 @@ class CheckpointRejects : public ::testing::Test {
         EXPECT_EQ(sim.now(), 0u);
     }
 
+    /// bytes_ re-shaped as a version-1 stream, whose engine record also
+    /// carried two u32 thread-count fields.
+    std::string versionOneBytes() const
+    {
+        std::string s = bytes_;
+        s[8] = 1; // the little-endian format-version word now reads 1
+        s.insert(37, std::string("\x01\0\0\0\x02\0\0\0", 8));
+        return s;
+    }
+
     std::string bytes_;
 };
 
@@ -435,6 +370,8 @@ TEST_F(CheckpointRejects, UnknownFormatVersion)
     std::string s = bytes_;
     s[8] = 99; // first byte of the little-endian format-version word
     expectReject(s, "format version");
+    expectReject(versionOneBytes(),
+                 "checkpoint format version 1; this build reads version 2");
 }
 
 TEST_F(CheckpointRejects, EngineSaltMismatch)
@@ -447,7 +384,7 @@ TEST_F(CheckpointRejects, EngineSaltMismatch)
 TEST_F(CheckpointRejects, CorruptSectionTag)
 {
     std::string s = bytes_;
-    s[45] = 3; // the first section tag's length byte ("metrics" = 7)
+    s[37] = 3; // the first section tag's length byte ("metrics" = 7)
     expectReject(s, "expected section");
 }
 
@@ -494,20 +431,21 @@ TEST_F(CheckpointRejects, HeaderRejectLeavesTargetUsable)
     const ColumnConfig col = paperColumn(TopologyKind::MeshX1, QosMode::Pvc);
     const RunPhases phases = testPhases();
 
-    std::string s = bytes_;
-    s[12] = static_cast<char>(s[12] ^ 0x5a);
-
-    ColumnSim rejected(col, uniformTraffic(0.08));
-    std::string err;
-    EXPECT_FALSE(restoreFromString(rejected, s, &err));
-    rejected.setMeasureWindow(phases.warmup, phases.measureEnd());
-    rejected.run(phases.total());
-    rejected.checkInvariants();
-
     ColumnSim clean(col, uniformTraffic(0.08));
     clean.setMeasureWindow(phases.warmup, phases.measureEnd());
     clean.run(phases.total());
-    EXPECT_EQ(runDigest(rejected), runDigest(clean));
+
+    std::string saltFlipped = bytes_;
+    saltFlipped[12] = static_cast<char>(saltFlipped[12] ^ 0x5a);
+    for (const std::string &s : {saltFlipped, versionOneBytes()}) {
+        ColumnSim rejected(col, uniformTraffic(0.08));
+        std::string err;
+        EXPECT_FALSE(restoreFromString(rejected, s, &err));
+        rejected.setMeasureWindow(phases.warmup, phases.measureEnd());
+        rejected.run(phases.total());
+        rejected.checkInvariants();
+        EXPECT_EQ(runDigest(rejected), runDigest(clean)) << err;
+    }
 }
 
 } // namespace

@@ -310,8 +310,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// A 72-node DPS column gives every router one crossbar output per
 /// destination subnet, so its per-output dirty and winner sets span two
-/// 64-bit words. The always-tick engine, the activity-driven one, four
-/// shards and a restore from a mid-run checkpoint must all agree.
+/// 64-bit words. The always-tick engine, the activity-driven one and a
+/// restore from a mid-run checkpoint must all agree.
 class WideDpsColumn : public ::testing::TestWithParam<QosMode> {};
 
 constexpr int kWideNodes = 72;
@@ -342,7 +342,7 @@ drainWide(ColumnSim &sim)
     return done == kNoCycle ? 0 : runDigest(sim);
 }
 
-TEST_P(WideDpsColumn, EnginesShardsAndRestoreMatch)
+TEST_P(WideDpsColumn, EnginesAndRestoreMatch)
 {
     const QosMode mode = GetParam();
     auto oracle = makeWideColumn(mode, {.activityDriven = false});
@@ -361,10 +361,6 @@ TEST_P(WideDpsColumn, EnginesShardsAndRestoreMatch)
         activity->checkInvariants();
     }
     EXPECT_EQ(drainWide(*activity), want) << "activity-driven";
-
-    auto sharded =
-        makeWideColumn(mode, {.shards = 4, .shardMinActive = 0});
-    EXPECT_EQ(drainWide(*sharded), want) << "shards=4";
 
     auto ref = makeWideColumn(mode, {});
     ref->run(kWideGenUntil / 2);
