@@ -17,8 +17,8 @@
 #include "core/experiments.h"
 #include "core/maxmin.h"
 #include "exp/json_writer.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
+#include "sim/fabric_sim.h"
 #include "traffic/workloads.h"
 
 using namespace taqos;
@@ -56,15 +56,15 @@ BM_SimHotspotCycles(benchmark::State &state)
 }
 
 void
-BM_ChipSimCycles(benchmark::State &state)
+BM_ChipCycles(benchmark::State &state)
 {
     const auto kind = static_cast<TopologyKind>(state.range(0));
-    ChipNetConfig cfg;
+    FabricSpec cfg; // the paper's chip: one chip, one shared column
     cfg.column = paperColumn(kind);
     TrafficConfig traffic;
     traffic.pattern = TrafficPattern::UniformRandom;
     traffic.injectionRate = 0.04;
-    ChipSim sim(cfg, traffic);
+    FabricSim sim(cfg, traffic);
     sim.run(2000);
     for (auto _ : state)
         sim.step();
@@ -106,9 +106,9 @@ BM_BuildChip(benchmark::State &state)
 {
     const auto kind = static_cast<TopologyKind>(state.range(0));
     for (auto _ : state) {
-        ChipNetConfig cfg;
+        FabricSpec cfg;
         cfg.column = paperColumn(kind);
-        benchmark::DoNotOptimize(ChipNetwork::build(cfg));
+        benchmark::DoNotOptimize(FabricNetwork::build(cfg));
     }
     state.SetLabel(topologyName(kind));
 }
@@ -160,12 +160,12 @@ writeMicroJson(const char *path)
                                sim, kCycles));
     }
     {
-        ChipNetConfig cfg;
+        FabricSpec cfg;
         cfg.column = paperColumn(TopologyKind::Dps);
         TrafficConfig traffic;
         traffic.pattern = TrafficPattern::UniformRandom;
         traffic.injectionRate = 0.04;
-        ChipSim sim(cfg, traffic);
+        FabricSim sim(cfg, traffic);
         rows.push_back(timeSim("chip_dps", sim, kCycles));
     }
 
@@ -196,7 +196,7 @@ writeMicroJson(const char *path)
 
 BENCHMARK(BM_SimCycles)->DenseRange(0, 4);
 BENCHMARK(BM_SimHotspotCycles)->DenseRange(0, 4);
-BENCHMARK(BM_ChipSimCycles)->DenseRange(0, 4);
+BENCHMARK(BM_ChipCycles)->DenseRange(0, 4);
 BENCHMARK(BM_Rng);
 BENCHMARK(BM_MaxMin)->Arg(64)->Arg(1024);
 BENCHMARK(BM_BuildColumn)->DenseRange(0, 4);

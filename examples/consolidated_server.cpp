@@ -72,16 +72,17 @@ main()
     // Program the shared column's flow registers from the VM weights and
     // run the whole chip — row meshes plus the DPS + PVC column —
     // cycle-accurately until every memory request has drained.
-    ChipNetConfig cfg;
+    FabricSpec cfg; // one chip, its one shared column
     cfg.chip = chip;
     cfg.column.topology = TopologyKind::Dps;
     cfg.column.numNodes = chip.nodesY();
-    cfg.column.pvc = os.columnFlowRegisters(cfg.columnX(), cfg.column);
+    cfg.column.pvc =
+        os.columnFlowRegisters(chip.sharedColumns.front(), cfg.column);
 
     std::printf("=== full-chip run: rows -> shared DPS column (PVC) ===\n");
     TrafficConfig traffic = makeHotspotAll(cfg.column, 0.05);
     traffic.genUntil = 110000;
-    ChipSim sim(cfg, traffic);
+    FabricSim sim(cfg, traffic);
     sim.setMeasureWindow(10000, 110000);
     const Cycle done = sim.runUntilDrained(400000, traffic.genUntil);
     sim.checkInvariants();
@@ -101,10 +102,12 @@ main()
     // Attribute delivered bandwidth back to VMs through node ownership.
     double vmFlits[4] = {};
     const SimMetrics &m = sim.metrics();
-    const ChipNetwork &net = sim.network();
+    // Injector slot k >= 1 is fed by the k-th compute node of the row.
+    const std::vector<int> &computeXs = sim.network().catchment(0);
     for (int row = 0; row < chip.nodesY(); ++row) {
         for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-            const int owner = os.ownerOf(NodeCoord{net.computeXOf(k), row});
+            const int x = computeXs[static_cast<std::size_t>(k - 1)];
+            const int owner = os.ownerOf(NodeCoord{x, row});
             if (owner >= 1 && owner <= 3) {
                 vmFlits[owner] += static_cast<double>(
                     m.flowFlits[static_cast<std::size_t>(

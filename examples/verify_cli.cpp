@@ -15,7 +15,7 @@
 ///   topo=dps|mecs|mesh_x1|mesh_x2|mesh_x4|fbfly   (default dps)
 ///   mode=pvc|per-flow|no-qos|gsf|age|wrr          (default pvc)
 ///   pattern=uniform|tornado|hotspot               (default uniform)
-///   rate=R        flits/cycle/injector            (default 0.05)
+///   rate=R        flits/cycle/injector, in (0, 1] (default 0.05)
 ///   workload=SPEC dynamic workload (steady | bursty:... | ramp:... |
 ///                 trace:path=...; churn has no column embedding) — the
 ///                 CI workload smoke audits a bursty cell through this
@@ -28,14 +28,16 @@
 ///     chips=N tiles=N columns=a,b links=p2p|ring
 ///                 (tiles sets a square chip; columns the shared xs)
 ///
-/// An unknown or malformed run option, or a bad phase, prints one line
-/// and exits 2 (the usage-error status).
+/// An unknown or malformed run option (a number with trailing garbage
+/// included), a rate outside (0, 1], or a bad phase, prints one line and
+/// exits 2 (the usage-error status).
 ///
 /// Examples:
 ///   verify_cli audit topo=dps mode=pvc rate=0.05
 ///   verify_cli record out=/tmp/t.txt topo=mecs pattern=hotspot legacy=1
 ///   verify_cli check /tmp/t.txt
 ///   verify_cli audit fabric=1 chips=4 tiles=32 columns=4,12
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -85,6 +87,17 @@ badOption(const std::string &opt)
     std::exit(2);
 }
 
+/// `val` read whole as an integer (hex with 0x); exits 2 naming `arg`
+/// otherwise.
+std::int64_t
+intValue(const std::string &arg, const std::string &val)
+{
+    const auto v = parseInteger(val);
+    if (!v.has_value())
+        badOption(arg);
+    return *v;
+}
+
 RunOptions
 parseRunOptions(const std::vector<std::string> &args)
 {
@@ -114,7 +127,15 @@ parseRunOptions(const std::vector<std::string> &args)
                 badOption(arg);
             run.traffic.pattern = *p;
         } else if (key == "rate") {
-            run.traffic.injectionRate = std::atof(val.c_str());
+            const auto rate = parseNumber(val);
+            if (!rate.has_value() || !(*rate > 0.0 && *rate <= 1.0)) {
+                std::fprintf(stderr,
+                             "bad rate '%s': want flits/cycle per "
+                             "injector in (0, 1]\n",
+                             val.c_str());
+                std::exit(2);
+            }
+            run.traffic.injectionRate = *rate;
         } else if (key == "workload") {
             std::string err;
             const auto w = WorkloadSpec::parse(val, &err);
@@ -131,23 +152,27 @@ parseRunOptions(const std::vector<std::string> &args)
             }
             run.workload = *w;
         } else if (key == "seed") {
-            run.traffic.seed = std::strtoull(val.c_str(), nullptr, 10);
+            // Unsigned: seeds span the full 64 bits.
+            char *end = nullptr;
+            run.traffic.seed = std::strtoull(val.c_str(), &end, 0);
+            if (end == val.c_str() || *end != '\0')
+                badOption(arg);
         } else if (key == "warmup") {
-            run.phases.warmup = std::strtoull(val.c_str(), nullptr, 10);
+            run.phases.warmup = static_cast<Cycle>(intValue(arg, val));
         } else if (key == "measure") {
-            run.phases.measure = std::strtoull(val.c_str(), nullptr, 10);
+            run.phases.measure = static_cast<Cycle>(intValue(arg, val));
         } else if (key == "drain") {
-            run.phases.drain = std::strtoull(val.c_str(), nullptr, 10);
+            run.phases.drain = static_cast<Cycle>(intValue(arg, val));
         } else if (key == "legacy") {
-            run.legacy = std::atoi(val.c_str()) != 0;
+            run.legacy = intValue(arg, val) != 0;
         } else if (key == "out") {
             run.out = val;
         } else if (key == "fabric") {
-            run.fabric = std::atoi(val.c_str()) != 0;
+            run.fabric = intValue(arg, val) != 0;
         } else if (key == "chips") {
-            run.chips = std::atoi(val.c_str());
+            run.chips = static_cast<int>(intValue(arg, val));
         } else if (key == "tiles") {
-            run.tiles = std::atoi(val.c_str());
+            run.tiles = static_cast<int>(intValue(arg, val));
         } else if (key == "columns") {
             run.columns = parseIntList(val);
         } else if (key == "links") {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "sim/chip_sim.h"
+#include "sim/fabric_sim.h"
 
 namespace taqos {
 namespace {
@@ -26,14 +26,21 @@ constexpr std::uint32_t kArrivalWeights[3] = {1, 2, 4};
 
 } // namespace
 
-ChurnDriver::ChurnDriver(const ChipNetConfig &cfg,
+ChurnDriver::ChurnDriver(const FabricSpec &cfg,
                          const std::vector<ChurnTenant> &initial,
                          const WorkloadSpec &spec, std::uint64_t seed)
     : cfg_(cfg), spec_(spec), seed_(seed), os_(cfg.chip)
 {
+    TAQOS_ASSERT(cfg_.chips == 1 && cfg_.blocksPerChip() == 1,
+                 "tenant churn drives one chip with one shared column, "
+                 "got %d chip(s) x %d shared column(s)",
+                 cfg_.chips, cfg_.blocksPerChip());
     TAQOS_ASSERT(spec_.kind == WorkloadKind::Churn,
                  "churn driver needs a churn workload, got %s",
                  workloadKindName(spec_.kind));
+    computeXs_ = fabricCatchments(cfg_.chip).front();
+    cfg_.column.numNodes = cfg_.chip.nodesY();
+    cfg_.column.injectorsPerNode = 1 + static_cast<int>(computeXs_.size());
     for (const auto &t : initial) {
         const auto vm = os_.createVm(t.id, t.threads, t.weight);
         TAQOS_ASSERT(vm.has_value(), "initial VM %d admission failed",
@@ -104,7 +111,8 @@ ChurnDriver::advanceTo(int epoch)
 PvcParams
 ChurnDriver::flowRegisters() const
 {
-    return os_.columnFlowRegisters(cfg_.columnX(), cfg_.column);
+    return os_.columnFlowRegisters(cfg_.chip.sharedColumns.front(),
+                                   cfg_.column);
 }
 
 std::vector<bool>
@@ -114,7 +122,8 @@ ChurnDriver::activeComputeFlows() const
         static_cast<std::size_t>(cfg_.column.numFlows()), false);
     for (int row = 0; row < cfg_.chip.nodesY(); ++row) {
         for (int k = 1; k < cfg_.column.injectorsPerNode; ++k) {
-            if (os_.ownerOf(NodeCoord{cfg_.computeXOf(k), row}) >= 0) {
+            const int x = computeXs_[static_cast<std::size_t>(k - 1)];
+            if (os_.ownerOf(NodeCoord{x, row}) >= 0) {
                 active[static_cast<std::size_t>(
                     cfg_.column.flowOf(row, k))] = true;
             }
@@ -124,10 +133,14 @@ ChurnDriver::activeComputeFlows() const
 }
 
 void
-ChurnDriver::applyTo(ChipSim &sim) const
+ChurnDriver::applyTo(FabricSim &sim) const
 {
+    TAQOS_ASSERT(sim.network().blocks() == 1,
+                 "tenant churn drives a one-block fabric, got %d blocks",
+                 sim.network().blocks());
     sim.network().reprogramFlowWeights(flowRegisters().weights);
-    TrafficGenerator &gen = sim.traffic().generator();
+    // One block: its local flow ids are the global ones.
+    TrafficGenerator &gen = sim.traffic().generator(0);
     const auto active = activeComputeFlows();
     for (int row = 0; row < cfg_.chip.nodesY(); ++row) {
         for (int k = 1; k < cfg_.column.injectorsPerNode; ++k) {

@@ -3,11 +3,11 @@
 /// server mid-run. The driver owns an OsScheduler and a deterministic
 /// event schedule — one arrival or departure per epoch (a configurable
 /// number of QOS frames), derived purely from the seed and the epoch
-/// index, never from execution order — and reprograms a live ChipSim at
-/// each epoch boundary: column flow registers rewritten through
-/// Network::reprogramFlowWeights, departed tenants' compute flows
-/// silenced and arriving tenants' flows enabled through
-/// TrafficGenerator::setFlowActive.
+/// index, never from execution order — and reprograms a live one-chip,
+/// one-column FabricSim at each epoch boundary: column flow registers
+/// rewritten through Network::reprogramFlowWeights, departed tenants'
+/// compute flows silenced and arriving tenants' flows enabled through
+/// TrafficGenerator::setFlowActive on block 0's generator.
 ///
 /// Because the schedule is a pure function of (seed, epoch), a run can be
 /// checkpointed mid-epoch and resumed bit-identically: rebuild the sim
@@ -20,12 +20,12 @@
 #include <vector>
 
 #include "chip/os.h"
-#include "topo/chip_network.h"
+#include "topo/fabric.h"
 #include "traffic/workload_spec.h"
 
 namespace taqos {
 
-class ChipSim;
+class FabricSim;
 
 /// One initially admitted VM (mirrors the sweep layer's placement
 /// presets without depending on them).
@@ -37,9 +37,11 @@ struct ChurnTenant {
 
 class ChurnDriver {
   public:
-    /// Admits the initial tenants (epoch 0 state). `spec` must be a
-    /// Churn-kind workload; `seed` drives the event schedule.
-    ChurnDriver(const ChipNetConfig &cfg,
+    /// Admits the initial tenants (epoch 0 state). `cfg` must be one chip
+    /// with one shared column (a diagnosed assertion rejects more).
+    /// `spec` must be a Churn-kind workload; `seed` drives the event
+    /// schedule.
+    ChurnDriver(const FabricSpec &cfg,
                 const std::vector<ChurnTenant> &initial,
                 const WorkloadSpec &spec, std::uint64_t seed);
 
@@ -67,7 +69,7 @@ class ChurnDriver {
     /// registers and reprogram the compute flows' activity. Call at the
     /// frame-aligned epoch boundary (or right after a checkpoint
     /// restore, to re-establish the epoch the snapshot was taken in).
-    void applyTo(ChipSim &sim) const;
+    void applyTo(FabricSim &sim) const;
 
     const OsScheduler &os() const { return os_; }
     int arrivals() const { return arrivals_; }
@@ -77,7 +79,9 @@ class ChurnDriver {
   private:
     void step(); ///< apply epoch_ + 1's event
 
-    ChipNetConfig cfg_;
+    FabricSpec cfg_; ///< column shaped as FabricNetwork::build shapes it
+    /// Grid x of the compute node feeding injector slot k (entry k - 1).
+    std::vector<int> computeXs_;
     WorkloadSpec spec_;
     std::uint64_t seed_;
     OsScheduler os_;

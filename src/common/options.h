@@ -3,6 +3,8 @@
 /// binaries. Every CLI validates its options up front through these
 /// helpers and fails with one canonical message per error shape:
 ///
+///   bad <key> '<s>': want an integer     (OptionMap::getInt)
+///   bad <key> '<s>': want a number       (OptionMap::getDouble)
 ///   bad rates '<s>': want a,b,c or lo:hi:step (step > 0)
 ///   bad integer list '<s>': want a,b,c
 ///   unknown <what> '<token>'[; valid: <names>]
@@ -80,11 +82,10 @@ badRates(const std::string &s)
 inline double
 parseRateToken(const std::string &token, const std::string &whole)
 {
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0')
+    const auto v = parseNumber(token);
+    if (!v.has_value())
         badRates(whole);
-    return v;
+    return *v;
 }
 
 } // namespace detail

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/options.h"
+
 namespace taqos {
 
 std::string
@@ -61,6 +63,26 @@ strLower(const std::string &s)
     return out;
 }
 
+std::optional<std::int64_t>
+parseInteger(const std::string &s)
+{
+    char *end = nullptr;
+    const long long v = std::strtoll(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0')
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseNumber(const std::string &s)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0')
+        return std::nullopt;
+    return v;
+}
+
 OptionMap::OptionMap(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -100,14 +122,28 @@ std::int64_t
 OptionMap::getInt(const std::string &key, std::int64_t dflt) const
 {
     const std::string *v = find(key);
-    return v == nullptr ? dflt : std::strtoll(v->c_str(), nullptr, 0);
+    if (v == nullptr)
+        return dflt;
+    const auto n = parseInteger(*v);
+    if (!n.has_value()) {
+        optionError(strFormat("bad %s '%s': want an integer", key.c_str(),
+                              v->c_str()));
+    }
+    return *n;
 }
 
 double
 OptionMap::getDouble(const std::string &key, double dflt) const
 {
     const std::string *v = find(key);
-    return v == nullptr ? dflt : std::strtod(v->c_str(), nullptr);
+    if (v == nullptr)
+        return dflt;
+    const auto x = parseNumber(*v);
+    if (!x.has_value()) {
+        optionError(strFormat("bad %s '%s': want a number", key.c_str(),
+                              v->c_str()));
+    }
+    return *x;
 }
 
 bool

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,9 +26,18 @@ std::string strTrim(const std::string &s);
 /// Lower-case ASCII copy.
 std::string strLower(const std::string &s);
 
+/// All of `s` as an integer, with strtoll's base-0 prefixes (0x... hex,
+/// 0... octal); nullopt when `s` is empty or has trailing garbage.
+std::optional<std::int64_t> parseInteger(const std::string &s);
+
+/// All of `s` as a double (strtod syntax); nullopt when `s` is empty or
+/// has trailing garbage.
+std::optional<double> parseNumber(const std::string &s);
+
 /// Parses argv of the form `key=value ...` (plus bare flags, stored with
 /// value "1"). Every lookup (has or a getter) marks its key as read, so
-/// a CLI can reject the keys it never consumed (unread()).
+/// a CLI can reject the keys it never consumed (unread()). getInt and
+/// getDouble exit(1) on a malformed value, with one line (options.h).
 class OptionMap {
   public:
     OptionMap() = default;

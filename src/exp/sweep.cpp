@@ -18,8 +18,8 @@
 #include "core/maxmin.h"
 #include "exp/cell_cache.h"
 #include "exp/json_writer.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
+#include "sim/fabric_sim.h"
 #include "traffic/workloads.h"
 
 namespace taqos {
@@ -281,6 +281,58 @@ runAdversarialCell(const CellSpec &cell)
     return res;
 }
 
+/// The consolidation cells' machine: the paper's chip, one chip with one
+/// shared column, its column running the cell's topology and QoS mode.
+FabricSpec
+consolidationChip(const CellSpec &cell)
+{
+    FabricSpec cfg;
+    cfg.column.topology = cell.topology;
+    cfg.column.mode = cell.mode;
+    cfg.column.numNodes = cfg.chip.nodesY();
+    return cfg;
+}
+
+const VmPlacement &
+cellPlacement(const CellSpec &cell)
+{
+    const auto &placements = vmPlacements();
+    TAQOS_ASSERT(cell.placement >= 0 &&
+                     static_cast<std::size_t>(cell.placement) <
+                         placements.size(),
+                 "placement index out of range");
+    return placements[static_cast<std::size_t>(cell.placement)];
+}
+
+/// Uniform memory requests at the cell rate over the generation horizon
+/// (flow activity is the caller's).
+TrafficConfig
+consolidationTraffic(const CellSpec &cell)
+{
+    TrafficConfig traffic;
+    traffic.pattern = TrafficPattern::UniformRandom;
+    traffic.injectionRate = cell.rate;
+    traffic.genUntil = cell.phases.measureEnd();
+    traffic.seed = cell.seed;
+    return traffic;
+}
+
+/// The metrics every consolidation cell reports.
+CellResult
+consolidationResult(const CellSpec &cell, const FabricSim &sim, Cycle drain)
+{
+    const SimMetrics &m = sim.metrics();
+    CellResult res;
+    res.spec = cell;
+    res.put("drain_cycle",
+            drain == kNoCycle ? -1.0 : static_cast<double>(drain));
+    res.put("delivered_packets", static_cast<double>(m.deliveredPackets));
+    res.put("handoffs", static_cast<double>(sim.handoffs()));
+    res.put("preemptions", static_cast<double>(m.preemptionEvents));
+    res.put("avg_latency", m.latency.mean());
+    return res;
+}
+
 /// Tenant-churn consolidation cell: the placement preset seeds the
 /// initial tenant mix, then a ChurnDriver arrives/departs one VM per
 /// epoch (churnFrames QOS frames), reprogramming the live sim's flow
@@ -291,30 +343,14 @@ runAdversarialCell(const CellSpec &cell)
 CellResult
 runChipChurnCell(const CellSpec &cell)
 {
-    const auto &placements = vmPlacements();
-    TAQOS_ASSERT(cell.placement >= 0 &&
-                     static_cast<std::size_t>(cell.placement) <
-                         placements.size(),
-                 "placement index out of range");
-    const VmPlacement &pl =
-        placements[static_cast<std::size_t>(cell.placement)];
-
-    ChipNetConfig cfg;
-    cfg.column.topology = cell.topology;
-    cfg.column.mode = cell.mode;
-    cfg.column.numNodes = cfg.chip.nodesY();
-
+    FabricSpec cfg = consolidationChip(cell);
     std::vector<ChurnTenant> initial;
-    for (const auto &s : pl.servers)
+    for (const auto &s : cellPlacement(cell).servers)
         initial.push_back({s.id, s.threads, s.weight});
     ChurnDriver churn(cfg, initial, cell.workloadSpec, cell.seed);
     cfg.column.pvc = churn.flowRegisters();
 
-    TrafficConfig traffic;
-    traffic.pattern = TrafficPattern::UniformRandom;
-    traffic.injectionRate = cell.rate;
-    traffic.genUntil = cell.phases.measureEnd();
-    traffic.seed = cell.seed;
+    TrafficConfig traffic = consolidationTraffic(cell);
     const std::vector<bool> active = churn.activeComputeFlows();
     traffic.activeFlows.assign(active.begin(), active.end());
     if (cell.workloadSpec.churnAttack) {
@@ -331,7 +367,7 @@ runChipChurnCell(const CellSpec &cell)
         }
     }
 
-    ChipSim sim(cfg, traffic);
+    FabricSim sim(cfg, traffic);
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
 
     // Segment loop: run to each frame-aligned epoch boundary inside the
@@ -351,15 +387,7 @@ runChipChurnCell(const CellSpec &cell)
         budget > now ? budget - now : 0, genEnd);
     sim.checkInvariants();
 
-    const SimMetrics &m = sim.metrics();
-    CellResult res;
-    res.spec = cell;
-    res.put("drain_cycle",
-            drain == kNoCycle ? -1.0 : static_cast<double>(drain));
-    res.put("delivered_packets", static_cast<double>(m.deliveredPackets));
-    res.put("handoffs", static_cast<double>(sim.handoffs()));
-    res.put("preemptions", static_cast<double>(m.preemptionEvents));
-    res.put("avg_latency", m.latency.mean());
+    CellResult res = consolidationResult(cell, sim, drain);
     res.put("churn_epochs", static_cast<double>(churn.currentEpoch()));
     res.put("churn_arrivals", static_cast<double>(churn.arrivals()));
     res.put("churn_departures", static_cast<double>(churn.departures()));
@@ -376,79 +404,58 @@ runChipConsolidationCell(const CellSpec &cell)
     if (cell.workloadSpec.kind == WorkloadKind::Churn)
         return runChipChurnCell(cell);
 
-    const auto &placements = vmPlacements();
-    TAQOS_ASSERT(cell.placement >= 0 &&
-                     static_cast<std::size_t>(cell.placement) <
-                         placements.size(),
-                 "placement index out of range");
-    const VmPlacement &pl = placements[static_cast<std::size_t>(cell.placement)];
-
-    ChipNetConfig cfg;
-    cfg.column.topology = cell.topology;
-    cfg.column.mode = cell.mode;
-    cfg.column.numNodes = cfg.chip.nodesY();
-
+    const VmPlacement &pl = cellPlacement(cell);
+    FabricSpec cfg = consolidationChip(cell);
     OsScheduler os(cfg.chip);
     for (const auto &s : pl.servers) {
         const auto vm = os.createVm(s.id, s.threads, s.weight);
         TAQOS_ASSERT(vm.has_value(), "VM %d admission failed", s.id);
     }
     TAQOS_ASSERT(os.coScheduleInvariant(), "co-scheduling violated");
-    cfg.column.pvc = os.columnFlowRegisters(cfg.columnX(), cfg.column);
+    cfg.column.pvc =
+        os.columnFlowRegisters(cfg.chip.sharedColumns.front(), cfg.column);
+
+    // Owning VM of each column flow (-1: terminal flow or idle node).
+    // Injector slot k >= 1 of a row is fed by the row's k-th compute
+    // node in ascending x (the column skipped).
+    const std::vector<int> computeXs = fabricCatchments(cfg.chip).front();
+    std::vector<int> owner(static_cast<std::size_t>(cfg.column.numFlows()),
+                           -1);
+    for (int row = 0; row < cfg.chip.nodesY(); ++row) {
+        for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
+            const int x = computeXs[static_cast<std::size_t>(k - 1)];
+            owner[static_cast<std::size_t>(cfg.column.flowOf(row, k))] =
+                os.ownerOf(NodeCoord{x, row});
+        }
+    }
 
     // Every VM-owned compute node streams memory requests at the cell
     // rate to uniformly spread memory-controller rows; terminal flows
     // (the column's own resources) stay quiet.
-    TrafficConfig traffic;
-    traffic.pattern = TrafficPattern::UniformRandom;
-    traffic.injectionRate = cell.rate;
-    traffic.genUntil = cell.phases.measureEnd();
-    traffic.seed = cell.seed;
-    traffic.activeFlows.assign(
-        static_cast<std::size_t>(cfg.column.numFlows()), false);
-    for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-        for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-            if (os.ownerOf(NodeCoord{cfg.computeXOf(k), row}) >= 0) {
-                traffic.activeFlows[static_cast<std::size_t>(
-                    cfg.column.flowOf(row, k))] = true;
-            }
-        }
-    }
+    TrafficConfig traffic = consolidationTraffic(cell);
+    traffic.activeFlows.resize(owner.size());
+    for (std::size_t f = 0; f < owner.size(); ++f)
+        traffic.activeFlows[f] = owner[f] >= 0;
 
-    ChipSim sim(cfg, traffic, cell.workloadSpec);
+    FabricSim sim(cfg, traffic, cell.workloadSpec);
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
     const Cycle drain =
         sim.runUntilDrained(cell.phases.total() * 4, traffic.genUntil);
     sim.checkInvariants();
 
-    const SimMetrics &m = sim.metrics();
-    CellResult res;
-    res.spec = cell;
-    res.put("drain_cycle",
-            drain == kNoCycle ? -1.0 : static_cast<double>(drain));
-    res.put("delivered_packets", static_cast<double>(m.deliveredPackets));
-    res.put("handoffs", static_cast<double>(sim.handoffs()));
-    res.put("preemptions", static_cast<double>(m.preemptionEvents));
-    res.put("avg_latency", m.latency.mean());
-
+    CellResult res = consolidationResult(cell, sim, drain);
     for (const auto &s : pl.servers) {
-        const VmInfo *vm = os.vm(s.id);
+        const auto nodes = static_cast<double>(os.vm(s.id)->domain.size());
         std::uint64_t flits = 0;
-        for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-            for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-                if (os.ownerOf(NodeCoord{cfg.computeXOf(k), row}) != s.id)
-                    continue;
-                flits += m.flowFlits[static_cast<std::size_t>(
-                    cfg.column.flowOf(row, k))];
-            }
+        for (std::size_t f = 0; f < owner.size(); ++f) {
+            if (owner[f] == s.id)
+                flits += sim.metrics().flowFlits[f];
         }
         const std::string p = strFormat("vm%d_", s.id);
         res.put(p + "weight", static_cast<double>(s.weight));
-        res.put(p + "nodes", static_cast<double>(vm->domain.size()));
+        res.put(p + "nodes", nodes);
         res.put(p + "flits", static_cast<double>(flits));
-        res.put(p + "flits_per_node",
-                static_cast<double>(flits) /
-                    static_cast<double>(vm->domain.size()));
+        res.put(p + "flits_per_node", static_cast<double>(flits) / nodes);
     }
     return res;
 }

@@ -49,7 +49,7 @@ struct NetPacket {
     FlowId flow = kInvalidFlow;
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
-    /// Final destination of a multi-segment journey (whole-chip sim: the
+    /// Final destination of a multi-segment journey (fabric sim: the
     /// row segment routes on `dst` = the column-entry node, then the
     /// handoff rewrites `dst` to `finalDst`). kInvalidNode otherwise.
     NodeId finalDst = kInvalidNode;

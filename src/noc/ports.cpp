@@ -163,12 +163,6 @@ InputPort::findFreeVc(Cycle now, bool rateCompliant)
     return -1;
 }
 
-bool
-InputPort::anyFreeVc(Cycle now, bool rateCompliant)
-{
-    return findFreeVc(now, rateCompliant) >= 0 || unboundedVcs;
-}
-
 int
 InputPort::occupiedVcs() const
 {

@@ -29,8 +29,8 @@ FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
         const int j = g % net_.blocksPerChip();
         TrafficConfig bt = traffic_;
         // Decorrelate the blocks' Bernoulli streams; block 0 keeps the
-        // seed unchanged so a one-block fabric reproduces
-        // ChipTrafficSource's stream byte for byte. A modulated workload
+        // seed unchanged so a one-block fabric reproduces ColumnSim's
+        // stream byte for byte. A modulated workload
         // derives each block's modulator streams from the same
         // per-block seed, so burst phases decorrelate too.
         bt.seed = traffic_.seed +
@@ -96,7 +96,7 @@ FabricTrafficSource::tick(Cycle now, PacketPool &pool,
                 // block-entry node first; the wiring decides which
                 // compute-node port pulls this flow's row queue. `src`
                 // stays the column entry so ACK/NACK distances remain
-                // column-local, exactly like ChipSim.
+                // column-local, as in the standalone column.
                 int originChip = c;
                 if (k > static_cast<int>(net_.catchment(j).size()))
                     originChip = net_.remoteSourceChip(c, k);

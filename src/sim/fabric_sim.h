@@ -1,10 +1,11 @@
 /// \file fabric_sim.h
-/// Kilo-node fabric simulation: the NetSim engine driving a
+/// Whole-chip and multi-chip simulation: the NetSim engine driving a
 /// FabricNetwork (topo/fabric.h) — every shared column of every chip
 /// active, with inter-chip links joining the chips — so the
-/// consolidated-server scenario runs cycle-accurately at 1000+ routers.
+/// consolidated-server scenario runs cycle-accurately from one chip with
+/// one QOS column (the paper's machine) up to 1000+ routers.
 ///
-/// A packet's journey generalizes the ChipSim one:
+/// A packet's journey:
 ///   1. generated into its origin compute node's aggregate source queue
 ///      (terminal flows start at their block's entrance queue directly);
 ///   2. row segment: NoQos row mesh to the origin chip's block-entry
@@ -20,8 +21,9 @@
 ///      standalone column simulator.
 /// Inter-chip links are FIFO delay lines with serialization (width
 /// flits/cycle); on a ring, packets hop chip to chip, paying the link
-/// delay per hop. A one-chip one-column fabric is cycle-identical to
-/// ChipSim (pinned by tests).
+/// delay per hop. Terminal flows skip steps 2-3, so a one-chip,
+/// one-column fabric driven by terminal flows only is cycle-identical
+/// to ColumnSim (pinned by tests).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,7 @@ namespace taqos {
 /// compute node for local row flows, the remote chip's designated
 /// compute node for cross-chip flows. One deterministic generator per
 /// block (block 0 keeps the seed unchanged, so a one-block fabric's
-/// stream is byte-identical to ChipTrafficSource's).
+/// stream is byte-identical to a ColumnSim's on the same config).
 class FabricTrafficSource : public TrafficSource {
   public:
     FabricTrafficSource(FabricNetwork &net, const TrafficConfig &traffic);
@@ -56,6 +58,13 @@ class FabricTrafficSource : public TrafficSource {
 
     /// Packets whose generation was skipped due to a full origin queue.
     std::uint64_t suppressed() const;
+
+    /// Block `block`'s generator (block-local flow ids); ChurnDriver
+    /// reprograms block 0's compute flows through it.
+    TrafficGenerator &generator(int block)
+    {
+        return *gens_[static_cast<std::size_t>(block)];
+    }
 
     /// Checkpointing: each block generator's state (length-prefixed per
     /// block) plus the dispatch-side suppression counter. The scratch

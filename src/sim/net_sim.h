@@ -1,7 +1,8 @@
 /// \file net_sim.h
 /// The topology-agnostic cycle-level simulation engine. Drives any
 /// Network (topo/network.h) from any TrafficSource (traffic/source.h);
-/// ColumnSim and ChipSim are thin specializations.
+/// ColumnSim (one shared column) and FabricSim (whole chips with their
+/// row meshes, one or several) are thin specializations.
 ///
 /// Per-cycle phase order (dependences are cut by explicit delays, so the
 /// order within a cycle only has to be internally consistent):
@@ -80,7 +81,6 @@ class NetSim {
     /// Apply the engine selection (activity-driven vs. always-tick).
     /// Must precede the first step.
     void configure(const EngineConfig &cfg);
-    const EngineConfig &engineConfig() const { return engineCfg_; }
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
 
@@ -126,8 +126,8 @@ class NetSim {
     /// Install the per-cycle traffic source (call before the first step).
     void setTrafficSource(std::unique_ptr<TrafficSource> source);
 
-    /// Subclass state riding in the checkpoint's "extra" section (chip
-    /// handoff buffers, fabric link queues). Overrides must write and
+    /// Subclass state riding in the checkpoint's "extra" section (the
+    /// fabric's compute-node source queues and link queues). Overrides must write and
     /// read exactly matching records; restoreExtra reports corruption by
     /// calling CheckpointReader::fail.
     virtual void saveExtra(CheckpointWriter &w) const;
@@ -141,8 +141,8 @@ class NetSim {
     /// serial ejection-side work (the fabric's link arrivals).
     virtual void tickTerminals();
     void deliver(NetPacket *pkt, InputPort *port, int vcIdx);
-    /// A packet's tail arrived at aux buffer `port` (the chip's and the
-    /// fabric's row-to-column handoffs): move it on. Networks with aux
+    /// A packet's tail arrived at aux buffer `port` (the fabric's
+    /// row-to-column handoffs): move it on. Networks with aux
     /// ports must override; the base has none.
     virtual void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
 

@@ -92,26 +92,6 @@ ColumnNetwork::ColumnNetwork(ColumnConfig cfg)
 {
 }
 
-ColumnWiring
-ColumnNetwork::identityWiring() const
-{
-    auto &self = const_cast<ColumnNetwork &>(*this);
-    return ColumnWiring{self,   cfg_,          0, 0, "",
-                        mode(), reservedIdx(), unbounded()};
-}
-
-void
-ColumnNetwork::initCommon()
-{
-    wireColumnInjection(identityWiring());
-}
-
-void
-ColumnNetwork::wireColumn()
-{
-    wireColumnBlock(identityWiring());
-}
-
 std::unique_ptr<ColumnNetwork>
 ColumnNetwork::build(ColumnConfig cfg)
 {
@@ -120,7 +100,9 @@ ColumnNetwork::build(ColumnConfig cfg)
     TAQOS_ASSERT(cfg.injectorsPerNode >= 1, "need at least one injector");
 
     std::unique_ptr<ColumnNetwork> net(new ColumnNetwork(std::move(cfg)));
-    net->wireColumn();
+    // The identity wiring: this network as one classic column.
+    wireColumnBlock(ColumnWiring{*net, net->cfg_, 0, 0, "", net->mode(),
+                                 net->reservedIdx(), net->unbounded()});
     net->finalizeRouters();
     return net;
 }

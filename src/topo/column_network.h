@@ -96,21 +96,8 @@ class ColumnNetwork : public Network {
 
     const ColumnConfig &cfg() const { return cfg_; }
 
-    // --- builder interface (used by build_{mesh,mecs,dps}.cpp and tests) --
-
-    /// The identity wiring context: this network as one classic column.
-    ColumnWiring identityWiring() const;
-
-    /// Create routers, injector queues, terminal ejection buffers, and the
-    /// (topology-independent) injection ports of every node.
-    void initCommon();
-
-  protected:
+  private:
     explicit ColumnNetwork(ColumnConfig cfg);
-
-    /// initCommon + the topology-specific wiring (everything except
-    /// finalizeRouters, so subclasses can keep extending the fabric).
-    void wireColumn();
 
     ColumnConfig cfg_;
 };

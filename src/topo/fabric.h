@@ -1,26 +1,26 @@
 /// \file fabric.h
-/// Kilo-node whole-chip and multi-chip fabrics, declared by a FabricSpec
-/// and finalized into a Network by FabricNetwork::build.
-///
-/// A fabric generalizes ChipNetwork from "one shared column + its rows"
-/// to the full consolidated-server machine:
+/// The consolidated-server machine — one chip or several — declared by a
+/// FabricSpec and finalized into a Network by FabricNetwork::build:
 ///   - every shared column of every chip is an active QOS block, built by
 ///     the same ColumnWiring machinery as the standalone column;
 ///   - each compute node belongs to the catchment of its nearest shared
 ///     column and reaches it over a 1-D NoQos row mesh ending in a
-///     handoff buffer (the ChipNetwork pattern, replicated per block);
+///     handoff buffer at the column boundary;
 ///   - chips are joined by inter-chip links (point-to-point or a ring of
 ///     chip-to-chip channels). A packet for a remote column rides its
 ///     local row mesh to the boundary handoff, crosses the link fabric,
 ///     and re-enters through the destination block's per-flow entrance
 ///     queue — the row-to-column handoff pattern applied at chip scale.
+/// The paper's single chip with one QOS column is the default spec
+/// (chips = 1, one shared column at x = 4).
 ///
 /// Node-id space (ascending, chip-major): chip c occupies
 /// [c*nodesPerChip, (c+1)*nodesPerChip); within a chip the block (column)
 /// nodes come first — block j's node for grid row y is
 /// chipBase + j*H + y — followed by the compute nodes in row-major order.
-/// A one-chip, one-column fabric therefore reproduces ChipNetwork's id
-/// space exactly, and FabricSim pins cycle-identity against ChipSim.
+/// On a one-chip, one-column fabric the column nodes are ids 0..H-1
+/// (id == grid row), so every column-relative id, route, flow id and
+/// flow-register index of the standalone ColumnNetwork carries over.
 ///
 /// Flow-id space (chip-major, block-major): block g's flows are
 /// [g*flowsPerBlock, (g+1)*flowsPerBlock), laid out per column row as

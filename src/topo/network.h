@@ -6,8 +6,9 @@
 /// A Network owns no cycle semantics — that is the NetSim engine
 /// (sim/net_sim.h). Concrete fabrics subclass it: ColumnNetwork wires the
 /// paper's QOS-protected shared column (topo/column_network.h), and
-/// ChipNetwork wraps that column with the whole chip's unprotected row
-/// meshes (topo/chip_network.h).
+/// FabricNetwork wires whole chips — every shared column plus the
+/// unprotected row meshes around it, one chip or several
+/// (topo/fabric.h).
 #pragma once
 
 #include <memory>
@@ -77,7 +78,7 @@ class Network {
     virtual int ackDistance(NodeId src, NodeId dst) const;
 
     /// Buffers not owned by any router beyond the per-node terminals
-    /// (e.g. the chip's row-to-column handoff buffers, registered by the
+    /// (e.g. the fabric's row-to-column handoff buffers, registered by the
     /// topology builder). The engine includes them in frame flushes and
     /// invariant checks.
     const std::vector<InputPort *> &auxPorts() const { return auxPorts_; }

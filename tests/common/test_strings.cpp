@@ -68,6 +68,38 @@ TEST(OptionMap, Defaults)
     EXPECT_TRUE(opts.getBool("missing", true));
 }
 
+TEST(Strings, ParseIntegerReadsTheWholeValue)
+{
+    EXPECT_EQ(parseInteger("42"), 42);
+    EXPECT_EQ(parseInteger("-7"), -7);
+    EXPECT_EQ(parseInteger("0x1F"), 31); // hex seeds keep working
+    EXPECT_FALSE(parseInteger("").has_value());
+    EXPECT_FALSE(parseInteger("abc").has_value());
+    EXPECT_FALSE(parseInteger("12abc").has_value());
+    EXPECT_FALSE(parseInteger("1.5").has_value());
+}
+
+TEST(Strings, ParseNumberReadsTheWholeValue)
+{
+    EXPECT_EQ(parseNumber("0.25"), 0.25);
+    EXPECT_EQ(parseNumber("1e-3"), 1e-3);
+    EXPECT_FALSE(parseNumber("").has_value());
+    EXPECT_FALSE(parseNumber("abc").has_value());
+    EXPECT_FALSE(parseNumber("0.5x").has_value());
+}
+
+TEST(OptionMapDeathTest, MalformedNumbersExitWithOneLine)
+{
+    const char *argv[] = {"prog", "seed=abc", "rate=0.1x", "n="};
+    OptionMap opts(4, const_cast<char **>(argv));
+    EXPECT_EXIT(opts.getInt("seed", 0), ::testing::ExitedWithCode(1),
+                "^bad seed 'abc': want an integer\n$");
+    EXPECT_EXIT(opts.getDouble("rate", 0.0), ::testing::ExitedWithCode(1),
+                "^bad rate '0.1x': want a number\n$");
+    EXPECT_EXIT(opts.getInt("n", 0), ::testing::ExitedWithCode(1),
+                "^bad n '': want an integer\n$");
+}
+
 TEST(OptionMap, BoolSpellings)
 {
     const char *argv[] = {"prog", "a=true", "b=ON", "c=0", "d=no"};

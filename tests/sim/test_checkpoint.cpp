@@ -17,7 +17,6 @@
 #include "core/experiments.h"
 #include "qos/pvc.h"
 #include "sim/checkpoint.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
 #include "sim/engine_salt.h"
 #include "sim/fabric_sim.h"
@@ -237,13 +236,13 @@ TEST(CheckpointTrace, MergedTraceIsByteIdenticalAndAuditsClean)
 
 TEST(CheckpointChip, WholeChipRoundTripMatches)
 {
-    ChipNetConfig cc;
+    FabricSpec cc; // the paper's chip: one chip, one shared column
     cc.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
     cc.column.pvc.frameLen = 2000;
     TrafficConfig t = uniformTraffic(0.05);
     t.genUntil = 5000;
 
-    ChipSim ref(cc, t);
+    FabricSim ref(cc, t);
     ref.setMeasureWindow(0, 5000);
     ref.run(3000);
     const std::string bytes = saveToString(ref);
@@ -251,7 +250,7 @@ TEST(CheckpointChip, WholeChipRoundTripMatches)
     ASSERT_NE(refDone, kNoCycle);
     EXPECT_GT(ref.handoffs(), 0u);
 
-    ChipSim sim(cc, t);
+    FabricSim sim(cc, t);
     sim.setMeasureWindow(0, 5000);
     std::string err;
     ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;

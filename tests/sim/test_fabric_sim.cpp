@@ -1,39 +1,20 @@
-/// Fabric simulation: the ChipSim cycle-identity anchor (a one-chip,
-/// one-column fabric is metric-identical to ChipSim on the same seed),
-/// cross-chip delivery over both link topologies, a kilo-node fabric
-/// draining with its invariants, and recorded fabric traces passing the
-/// independent checker's audit.
+/// Fabric simulation: the whole-chip anchor (a one-chip, one-column
+/// fabric reproduces the metrics recorded from the dedicated whole-chip
+/// engine it replaced), cross-chip delivery over both link topologies,
+/// a kilo-node fabric draining with its invariants, and recorded fabric
+/// traces passing the independent checker's audit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/experiments.h"
-#include "sim/chip_sim.h"
 #include "sim/fabric_sim.h"
 #include "sim/trace_record.h"
 #include "verify/checker.h"
 
 namespace taqos {
 namespace {
-
-void
-expectMetricsIdentical(const SimMetrics &a, const SimMetrics &b)
-{
-    EXPECT_EQ(a.generatedPackets, b.generatedPackets);
-    EXPECT_EQ(a.generatedFlits, b.generatedFlits);
-    EXPECT_EQ(a.measuredGenerated, b.measuredGenerated);
-    EXPECT_EQ(a.injectedAttempts, b.injectedAttempts);
-    EXPECT_EQ(a.deliveredPackets, b.deliveredPackets);
-    EXPECT_EQ(a.deliveredFlits, b.deliveredFlits);
-    EXPECT_EQ(a.preemptionEvents, b.preemptionEvents);
-    EXPECT_DOUBLE_EQ(a.usefulHops, b.usefulHops);
-    EXPECT_DOUBLE_EQ(a.wastedHops, b.wastedHops);
-    EXPECT_EQ(a.latency.count(), b.latency.count());
-    EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-    ASSERT_EQ(a.flowFlits.size(), b.flowFlits.size());
-    for (std::size_t f = 0; f < a.flowFlits.size(); ++f)
-        EXPECT_EQ(a.flowFlits[f], b.flowFlits[f]) << "flow " << f;
-}
 
 FabricSpec
 twoChipSpec()
@@ -47,37 +28,47 @@ twoChipSpec()
 
 TEST(FabricEquivalence, OneChipOneColumnMatchesChipSimExactly)
 {
-    // The generalization anchor: restricted to one chip with one shared
-    // column, the fabric must be cycle-identical to ChipSim in full-chip
-    // mode — same generator streams, same origin queues, same handoffs.
-    ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::Pvc);
-    col.pvc.frameLen = 2000;
+    // The whole-chip anchor: restricted to one chip with one shared
+    // column, the fabric must reproduce, metric for metric, what the
+    // dedicated whole-chip engine (retired in favour of this one)
+    // recorded on the same seed — same generator stream, same origin
+    // queues, same handoffs. flowFlits is pinned by an FNV-1a hash.
+    FabricSpec spec;
+    spec.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
+    spec.column.pvc.frameLen = 2000;
 
     TrafficConfig t;
     t.pattern = TrafficPattern::UniformRandom;
     t.injectionRate = 0.05;
     t.genUntil = 5000;
 
-    ChipNetConfig cc;
-    cc.column = col;
-    ChipSim chip(cc, t);
-    chip.setMeasureWindow(1000, 5000);
-
-    FabricSpec spec;
-    spec.column = col;
     FabricSim fab(spec, t);
     fab.setMeasureWindow(1000, 5000);
-
-    for (int i = 0; i < 20000; ++i) {
-        chip.step();
+    for (int i = 0; i < 20000; ++i)
         fab.step();
+
+    const SimMetrics &m = fab.metrics();
+    EXPECT_EQ(m.generatedPackets, 6279u);
+    EXPECT_EQ(m.generatedFlits, 15816u);
+    EXPECT_EQ(m.measuredGenerated, 5055u);
+    EXPECT_EQ(m.injectedAttempts, 11749u);
+    EXPECT_EQ(m.deliveredPackets, 6279u);
+    EXPECT_EQ(m.deliveredFlits, 15816u);
+    EXPECT_EQ(m.preemptionEvents, 0u);
+    EXPECT_DOUBLE_EQ(m.usefulHops, 37942.0);
+    EXPECT_DOUBLE_EQ(m.wastedHops, 0.0);
+    EXPECT_EQ(m.latency.count(), 5055u);
+    EXPECT_DOUBLE_EQ(m.latency.mean(), 19.656181998021793);
+    ASSERT_EQ(m.flowFlits.size(), 64u);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t v : m.flowFlits) {
+        h ^= v;
+        h *= 0x100000001b3ull;
     }
-    expectMetricsIdentical(chip.metrics(), fab.metrics());
-    EXPECT_EQ(chip.handoffs(), fab.handoffs());
-    EXPECT_GT(fab.handoffs(), 0u);
+    EXPECT_EQ(h, 0x9129cb2ed29891fdull);
+    EXPECT_EQ(fab.handoffs(), 5470u);
     EXPECT_EQ(fab.linkHops(), 0u);
-    EXPECT_EQ(chip.drained(), fab.drained());
-    chip.checkInvariants();
+    EXPECT_TRUE(fab.drained());
     fab.checkInvariants();
 }
 

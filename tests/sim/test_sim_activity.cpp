@@ -18,7 +18,6 @@
 #include <string>
 
 #include "core/experiments.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
 #include "sim/fabric_sim.h"
 #include "traffic/workloads.h"
@@ -129,14 +128,14 @@ TEST(ToggleEquivalence, WholeChipSimulationMatches)
     std::uint64_t digests[2] = {0, 0};
     std::uint64_t handoffs[2] = {0, 0};
     for (int activity = 0; activity < 2; ++activity) {
-        ChipNetConfig cc;
+        FabricSpec cc; // the paper's chip: one chip, one shared column
         cc.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
         cc.column.pvc.frameLen = 2000;
         TrafficConfig t;
         t.pattern = TrafficPattern::UniformRandom;
         t.injectionRate = 0.05;
         t.genUntil = 5000;
-        ChipSim sim(cc, t);
+        FabricSim sim(cc, t);
         sim.configure({.activityDriven = activity == 1});
         sim.setMeasureWindow(0, 5000);
         const Cycle done = sim.runUntilDrained(120000, 5000);

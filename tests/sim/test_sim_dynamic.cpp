@@ -19,8 +19,8 @@
 #include "exp/cell_cache.h"
 #include "exp/json_writer.h"
 #include "exp/sweep.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
+#include "sim/fabric_sim.h"
 #include "traffic/trace.h"
 
 namespace taqos {
@@ -167,10 +167,10 @@ churnSpec(int frames = 1, int maxVms = 5)
     return spec;
 }
 
-ChipNetConfig
+FabricSpec
 churnChip(Cycle frameLen)
 {
-    ChipNetConfig cfg;
+    FabricSpec cfg; // the paper's chip: one chip, one shared column
     cfg.column.topology = TopologyKind::Dps;
     cfg.column.mode = QosMode::Pvc;
     cfg.column.numNodes = cfg.chip.nodesY();
@@ -186,7 +186,7 @@ initialTenants()
 
 TEST(ChurnDriver, ScheduleIsAPureFunctionOfSeedAndEpoch)
 {
-    const ChipNetConfig cfg = churnChip(2000);
+    const FabricSpec cfg = churnChip(2000);
     ChurnDriver a(cfg, initialTenants(), churnSpec(), 1234);
     ChurnDriver b(cfg, initialTenants(), churnSpec(), 1234);
     a.advanceTo(12);
@@ -212,7 +212,7 @@ TEST(ChurnDriver, ScheduleIsAPureFunctionOfSeedAndEpoch)
 
 TEST(ChurnDriver, ChurnsWithinBoundsAndKeepsCoSchedule)
 {
-    const ChipNetConfig cfg = churnChip(2000);
+    const FabricSpec cfg = churnChip(2000);
     ChurnDriver churn(cfg, initialTenants(), churnSpec(1, 4), 7);
     for (int e = 1; e <= 25; ++e) {
         churn.advanceTo(e);
@@ -293,9 +293,9 @@ TEST(FlowRegisters, MidRunReprogramRefreshesTheCachedWeightSum)
 std::uint64_t
 churnedChipDigest(bool activity, std::uint64_t seed, Cycle restartAt = 0)
 {
-    const ChipNetConfig base = churnChip(1500);
+    const FabricSpec base = churnChip(1500);
     ChurnDriver churn(base, initialTenants(), churnSpec(), seed);
-    ChipNetConfig cfg = base;
+    FabricSpec cfg = base;
     cfg.column.pvc = churn.flowRegisters();
 
     TrafficConfig traffic = uniformTraffic(0.02, seed);
@@ -303,7 +303,7 @@ churnedChipDigest(bool activity, std::uint64_t seed, Cycle restartAt = 0)
     const auto active = churn.activeComputeFlows();
     traffic.activeFlows.assign(active.begin(), active.end());
 
-    auto sim = std::make_unique<ChipSim>(cfg, traffic);
+    auto sim = std::make_unique<FabricSim>(cfg, traffic);
     sim->configure({.activityDriven = activity});
     sim->setMeasureWindow(500, 8000);
 
@@ -321,7 +321,7 @@ churnedChipDigest(bool activity, std::uint64_t seed, Cycle restartAt = 0)
             sim->saveCheckpoint(os);
             const std::string snapshot = os.str();
 
-            sim = std::make_unique<ChipSim>(cfg, traffic);
+            sim = std::make_unique<FabricSim>(cfg, traffic);
             sim->configure({.activityDriven = activity});
             sim->setMeasureWindow(500, 8000);
             churn.applyTo(*sim);

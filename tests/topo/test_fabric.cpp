@@ -1,8 +1,15 @@
 /// FabricSpec finalization: catchment partitioning, the chip-major
-/// node/flow id spaces, remote-slot mapping, per-block policy cycling
-/// and the structural counts of the built multi-chip network.
+/// node/flow id spaces, remote-slot mapping, per-block policy cycling,
+/// the structural counts of the built multi-chip network, and the
+/// paper's single chip (one chip, one shared column): its grid, the
+/// injector-slot mapping the OS flow registers rely on, and the row
+/// wiring into the column's handoff buffers.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "chip/os.h"
+#include "router/router.h"
 #include "topo/fabric.h"
 
 namespace taqos {
@@ -210,6 +217,124 @@ TEST(FabricSpecValidate, AcceptsBuildableShapesAndNamesTheBadField)
               "the 2-column grid");
     EXPECT_EQ(diagnosis([](FabricSpec &s) { s.linkWidthFlits = 0; }),
               "bad fabric: link delay 8 / width 0, want both >= 1");
+}
+
+// ------------------------------------- the paper's chip: one column
+
+/// Node id of grid position (x, y) on a one-chip, one-column fabric.
+NodeId
+nodeAt(const FabricNetwork &net, int x, int y)
+{
+    if (x == net.spec().chip.sharedColumns.front())
+        return net.blockNodeId(0, 0, y);
+    return net.computeNodeId(0, x, y);
+}
+
+TEST(FabricOneChip, GridCoversAllNodesExactlyOnce)
+{
+    auto net = FabricNetwork::build(FabricSpec{});
+    const ChipConfig &chip = net->spec().chip;
+    EXPECT_EQ(net->numNodes(), chip.numNodes());
+
+    std::set<NodeId> seen;
+    for (int y = 0; y < chip.nodesY(); ++y) {
+        for (int x = 0; x < chip.nodesX(); ++x) {
+            const NodeId id = nodeAt(*net, x, y);
+            EXPECT_TRUE(seen.insert(id).second) << x << "," << y;
+            EXPECT_GE(id, 0);
+            EXPECT_LT(id, net->numNodes());
+            EXPECT_NE(net->router(id), nullptr);
+        }
+    }
+    EXPECT_EQ(static_cast<int>(seen.size()), chip.numNodes());
+}
+
+TEST(FabricOneChip, ColumnNodesKeepColumnIds)
+{
+    auto net = FabricNetwork::build(FabricSpec{});
+    for (int y = 0; y < net->gridHeight(); ++y) {
+        EXPECT_EQ(net->blockNodeId(0, 0, y), y);
+        EXPECT_TRUE(net->isBlockNode(y));
+    }
+}
+
+TEST(FabricOneChip, InjectorIndexMatchesOsFlowRegisterMapping)
+{
+    // The OS programs slot k of a column row with the weight of the VM
+    // owning that row's k-th compute node (ascending x, column skipped);
+    // the fabric must feed slot k from exactly that node.
+    auto net = FabricNetwork::build(FabricSpec{});
+    const ChipConfig &chip = net->spec().chip;
+    OsScheduler os(chip);
+    ASSERT_TRUE(os.createVm(1, 64, 4).has_value());
+    ASSERT_TRUE(os.createVm(2, 48, 2).has_value());
+    const PvcParams regs =
+        os.columnFlowRegisters(chip.sharedColumns.front(), net->blockCfg(0));
+    ASSERT_EQ(static_cast<int>(regs.weights.size()), net->totalFlows());
+
+    int owned = 0;
+    for (int y = 0; y < chip.nodesY(); ++y) {
+        for (int k = 1; k < net->slotsPerNode(); ++k) {
+            const int x = net->catchment(0)[static_cast<std::size_t>(k - 1)];
+            const int owner = os.ownerOf(NodeCoord{x, y});
+            const std::uint32_t want =
+                owner >= 0 ? os.vm(owner)->weight : 1;
+            const FlowId f = net->blockCfg(0).flowOf(y, k);
+            EXPECT_EQ(regs.weights[static_cast<std::size_t>(f)], want)
+                << "x=" << x << " y=" << y;
+            // The slot's origin queue sits at that compute node.
+            EXPECT_EQ(net->sourceQueue(f).node, net->computeNodeId(0, x, y));
+            owned += owner >= 0 ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(owned, 16 + 12); // both VMs' domains were visited
+}
+
+TEST(FabricOneChip, EveryRowHandsOffIntoTheColumn)
+{
+    auto net = FabricNetwork::build(FabricSpec{});
+    const ChipConfig &chip = net->spec().chip;
+    const int c = chip.sharedColumns.front();
+    const int sides = (c > 0 ? 1 : 0) + (c < chip.nodesX() - 1 ? 1 : 0);
+    EXPECT_EQ(static_cast<int>(net->auxPorts().size()),
+              sides * chip.nodesY());
+    for (const InputPort *p : net->auxPorts()) {
+        EXPECT_FALSE(p->vcs.empty());
+        EXPECT_LT(p->node, chip.nodesY()); // anchored at a column node
+    }
+}
+
+TEST(FabricOneChip, ComputeRoutersRouteTowardTheirColumnNode)
+{
+    auto net = FabricNetwork::build(FabricSpec{});
+    const ChipConfig &chip = net->spec().chip;
+    for (int y = 0; y < chip.nodesY(); ++y) {
+        for (int x = 0; x < chip.nodesX(); ++x) {
+            if (chip.isSharedColumn(x))
+                continue;
+            NetPacket pkt;
+            pkt.dst = net->blockNodeId(0, 0, y);
+            const RouteEntry e =
+                net->router(net->computeNodeId(0, x, y))->routeFor(pkt);
+            EXPECT_GE(e.outPort, 0);
+        }
+    }
+}
+
+TEST(FabricOneChip, SourceQueuesCoverEveryRowInjectorFlow)
+{
+    auto net = FabricNetwork::build(FabricSpec{});
+    for (FlowId f = 0; f < net->totalFlows(); ++f) {
+        InjectorQueue &q = net->sourceQueue(f);
+        if (net->slotOfFlow(f) == 0) {
+            // Terminal flows originate at the column entrance itself.
+            EXPECT_EQ(&q, &net->injector(f));
+        } else {
+            EXPECT_NE(&q, &net->injector(f));
+            EXPECT_EQ(q.flow, f);
+            EXPECT_FALSE(net->isBlockNode(q.node));
+        }
+    }
 }
 
 TEST(FabricLinks, TopologyNamesRoundTrip)
